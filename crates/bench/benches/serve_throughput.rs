@@ -1,11 +1,10 @@
-//! `xust-serve` throughput: prepared + planned execution versus fixed
-//! methods that re-parse and re-compile per request (what a naive
-//! service would do).
+//! `xust-serve` throughput: prepared execution versus fixed methods
+//! that re-parse and re-compile per request (what a naive service would
+//! do).
 //!
 //! The `served/*` rows go through the full serving stack — prepared
-//! cache, adaptive planner, stats — and should comfortably beat the
-//! worst fixed method (and, warmed up, track the best one) on the same
-//! XMark workload. The batch row measures the multi-document entry
+//! cache, the compiled transform's fixed method, stats — and should
+//! comfortably beat the worst fixed method on the same XMark workload. The batch row measures the multi-document entry
 //! point fanning out over the worker pool.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -50,7 +49,8 @@ fn fixed(c: &mut Criterion) {
     g.finish();
 }
 
-/// The serving stack: compiled once, planned per request.
+/// The serving stack: compiled once, with the method fixed at compile
+/// time.
 fn served(c: &mut Criterion) {
     let doc = xmark_doc(FACTOR);
     let server = Server::builder().threads(8).build();
@@ -64,12 +64,12 @@ fn served(c: &mut Criterion) {
             doc: "xmark".into(),
             query: transform_syntax(i),
         };
-        // Warm the cache and the planner's latency model.
+        // Warm the prepared cache.
         for _ in 0..8 {
             server.handle(&request).expect("served");
         }
         g.bench_with_input(
-            BenchmarkId::new("planned", u_name(i)),
+            BenchmarkId::new("prepared", u_name(i)),
             &request,
             |b, request| b.iter(|| server.handle(request).expect("served").body.len()),
         );

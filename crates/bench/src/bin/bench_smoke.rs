@@ -1,9 +1,8 @@
-//! Quick-mode bench smoke harness: runs the label-matching race
-//! (interned `Sym` vs `String` compare in the NFA hot loop), a
-//! served-throughput sample, and a mixed read/write workload (hot
-//! writer + same-shard neighbour reads), prints a table, and optionally
-//! records the numbers as a `BENCH_*.json` baseline so future PRs have
-//! a perf trajectory to compare against.
+//! Quick-mode bench smoke harness: runs a served-throughput sample, a
+//! factorised multi-view sweep, and a mixed read/write workload (hot
+//! writer + same-shard neighbour reads), among others, prints a table,
+//! and optionally records the numbers as a `BENCH_*.json` baseline so
+//! future PRs have a perf trajectory to compare against.
 //!
 //! ```text
 //! cargo run -p xust-bench --release --bin bench_smoke            # print
@@ -11,12 +10,9 @@
 //! cargo run -p xust-bench --release --bin bench_smoke -- --out BENCH_baseline.json
 //! ```
 //!
-//! `--check` additionally exits non-zero if any label row's speedup
-//! falls below [`CHECK_MARGIN`] — a regression tripwire, not a race to
-//! the last nanosecond: full runs show ~1.5x, and the margin absorbs
-//! shared-runner scheduling noise so CI does not flake on timing — or
-//! if the mixed workload's neighbour hit rate falls below
-//! [`NEIGHBOUR_HIT_MARGIN`]. The hit rate is deterministic (counter
+//! `--check` additionally exits non-zero if a row crosses its margin —
+//! for example if the mixed workload's neighbour hit rate falls below
+//! [`NEIGHBOUR_HIT_MARGIN`]. That hit rate is deterministic (counter
 //! arithmetic, not timing): with the result cache keyed by per-document
 //! versions a hot writer causes *zero* neighbour misses, so anything
 //! under the margin is a real re-keying regression, not jitter.
@@ -24,8 +20,6 @@
 use std::io::Cursor;
 use std::time::Instant;
 
-use xust_automata::SelectingNfa;
-use xust_bench::strbaseline::{drive_interned, drive_string, LabelStream, StringSelectingNfa};
 use xust_bench::{
     mixed_workload, mixed_workload_with, shared_view_queries, u_name, xmark_doc, MixedWorkload,
     WORKLOAD,
@@ -33,15 +27,6 @@ use xust_bench::{
 use xust_core::{multi_view_with_stats, two_pass, TransformQuery};
 use xust_serve::{serve_pipelined, PipelineOptions, Request, Server};
 use xust_tree::Document;
-use xust_xpath::parse_path;
-
-struct LabelRow {
-    name: String,
-    path: String,
-    interned_ns_per_elem: f64,
-    string_ns_per_elem: f64,
-    speedup: f64,
-}
 
 struct ServeRow {
     name: String,
@@ -105,12 +90,6 @@ struct IvmPatchRow {
     /// below 1.0 and the `--check` gate demands ≤ [`IVM_PATCH_MARGIN`].
     ratio: f64,
 }
-
-/// Minimum interned-vs-string speedup `--check` accepts per row. Kept
-/// below 1.0 so a noisy-neighbour transient on a shared CI runner
-/// cannot fail an unrelated PR, while a real regression (interned path
-/// meaningfully slower than the string baseline) still trips.
-const CHECK_MARGIN: f64 = 0.9;
 
 /// Minimum neighbour result-cache hit rate `--check` accepts for the
 /// mixed read/write workload. Per-document version keying makes the
@@ -202,60 +181,12 @@ fn main() {
         .cloned();
 
     let factor = if quick { 0.002 } else { 0.005 };
-    let reps = if quick { 20 } else { 60 };
     let doc = xmark_doc(factor);
-    let stream = LabelStream::of(&doc);
+    let elements = element_count(&doc);
     println!(
-        "# bench_smoke: xmark factor {factor}, {} elements, {} reps{}",
-        stream.len(),
-        reps,
+        "# bench_smoke: xmark factor {factor}, {elements} elements{}",
         if quick { " (quick)" } else { "" }
     );
-
-    // ---- label matching: interned vs string hot loop ----
-    let mut label_rows = Vec::new();
-    println!("\n## label_matching (ns/element, lower is better)");
-    println!(
-        "{:<6} {:>10} {:>10} {:>8}",
-        "query", "interned", "string", "speedup"
-    );
-    for i in [0, 3, 4, 6] {
-        let path = parse_path(WORKLOAD[i]).expect("workload paths parse");
-        let interned = SelectingNfa::new(&path);
-        let string = StringSelectingNfa::new(&path);
-        assert_eq!(
-            drive_interned(&stream, &interned),
-            drive_string(&stream, &string),
-            "baseline NFA diverges on {}",
-            WORKLOAD[i]
-        );
-        // Warm both paths once, then interleave timed runs so neither
-        // side benefits from cache warm-up order.
-        drive_interned(&stream, &interned);
-        drive_string(&stream, &string);
-        let (mut t_int, mut t_str) = (0u128, 0u128);
-        for _ in 0..reps {
-            let t = Instant::now();
-            std::hint::black_box(drive_interned(&stream, &interned));
-            t_int += t.elapsed().as_nanos();
-            let t = Instant::now();
-            std::hint::black_box(drive_string(&stream, &string));
-            t_str += t.elapsed().as_nanos();
-        }
-        let denom = (reps as f64) * (stream.len() as f64);
-        let row = LabelRow {
-            name: u_name(i),
-            path: WORKLOAD[i].to_string(),
-            interned_ns_per_elem: t_int as f64 / denom,
-            string_ns_per_elem: t_str as f64 / denom,
-            speedup: t_str as f64 / t_int as f64,
-        };
-        println!(
-            "{:<6} {:>10.2} {:>10.2} {:>7.2}x",
-            row.name, row.interned_ns_per_elem, row.string_ns_per_elem, row.speedup
-        );
-        label_rows.push(row);
-    }
 
     // ---- multi_view: one factorised sweep vs k private passes ----
     let mv_row = run_multi_view(&doc, if quick { 6 } else { 16 });
@@ -273,7 +204,7 @@ fn main() {
     let server = Server::builder().threads(4).build();
     server.load_doc("xmark", doc);
     let mut serve_rows = Vec::new();
-    println!("\n## serve_throughput (requests/s through prepared cache + planner)");
+    println!("\n## serve_throughput (requests/s through the prepared cache)");
     for i in [0, 4] {
         let request = Request::Transform {
             doc: "xmark".into(),
@@ -369,9 +300,8 @@ fn main() {
     if let Some(path) = out_path {
         let json = render_json(
             factor,
-            stream.len(),
+            elements,
             quick,
-            &label_rows,
             &mv_row,
             &serve_rows,
             &pipe_row,
@@ -386,20 +316,7 @@ fn main() {
     }
 
     if check {
-        let slow: Vec<&LabelRow> = label_rows
-            .iter()
-            .filter(|r| r.speedup < CHECK_MARGIN)
-            .collect();
         let mut failed = false;
-        if !slow.is_empty() {
-            for r in slow {
-                eprintln!(
-                    "FAIL {}: speedup {:.2} below margin {CHECK_MARGIN} (interned {:.2}ns, string {:.2}ns)",
-                    r.name, r.speedup, r.interned_ns_per_elem, r.string_ns_per_elem
-                );
-            }
-            failed = true;
-        }
         for r in mixed_rows
             .iter()
             .filter(|r| r.neighbour_hit_rate < NEIGHBOUR_HIT_MARGIN)
@@ -476,8 +393,7 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "\ncheck passed: label rows at or above the {CHECK_MARGIN} speedup margin, \
-             shared multi_view sweep under {MULTI_VIEW_MARGIN}× the private passes, \
+            "\ncheck passed: shared multi_view sweep under {MULTI_VIEW_MARGIN}× the private passes, \
              pipelined serving at or above {PIPELINED_SPEEDUP_MARGIN}× the blocking U1 row, \
              neighbour hit rate at or above {NEIGHBOUR_HIT_MARGIN}, \
              static retain share at or above {STATIC_SHARE_MARGIN} with per-view analysis \
@@ -857,7 +773,7 @@ fn run_ivm_patch(factor: f64, rounds: usize) -> IvmPatchRow {
         &base[open_end..]
     );
     let probed = Document::parse(&spiked).expect("probed xmark parses");
-    let elements = LabelStream::of(&probed).len();
+    let elements = element_count(&probed);
     let view = Request::View {
         view: "kwren".into(),
         doc: "xmark".into(),
@@ -1011,13 +927,21 @@ fn run_obs_overhead(factor: f64, rounds: usize) -> ObsRow {
     }
 }
 
+/// Elements in `doc` (the size the per-element rows are stated against).
+fn element_count(doc: &Document) -> usize {
+    doc.root().map_or(0, |root| {
+        doc.descendants_or_self(root)
+            .filter(|&n| doc.is_element(n))
+            .count()
+    })
+}
+
 /// Hand-rolled JSON (the workspace is offline — no serde).
 #[allow(clippy::too_many_arguments)]
 fn render_json(
     factor: f64,
     elements: usize,
     quick: bool,
-    labels: &[LabelRow],
     mv: &MultiViewRow,
     serve: &[ServeRow],
     pipe: &PipelinedRow,
@@ -1033,19 +957,6 @@ fn render_json(
     s.push_str(&format!("  \"xmark_factor\": {factor},\n"));
     s.push_str(&format!("  \"elements\": {elements},\n"));
     s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str("  \"label_matching\": [\n");
-    for (i, r) in labels.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"query\": \"{}\", \"path\": \"{}\", \"interned_ns_per_elem\": {:.3}, \"string_ns_per_elem\": {:.3}, \"speedup\": {:.3}}}{}\n",
-            r.name,
-            r.path.replace('"', "\\\""),
-            r.interned_ns_per_elem,
-            r.string_ns_per_elem,
-            r.speedup,
-            if i + 1 < labels.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
     s.push_str(&format!(
         "  \"multi_view\": {{\"views\": {}, \"shared_ms\": {:.3}, \"single_sum_ms\": {:.3}, \"ratio\": {:.3}}},\n",
         mv.views, mv.shared_ms, mv.single_sum_ms, mv.ratio

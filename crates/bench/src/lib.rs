@@ -8,8 +8,6 @@
 //! `benches/` regenerate the same comparisons with statistical rigor at
 //! reduced scale.
 
-pub mod strbaseline;
-
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 

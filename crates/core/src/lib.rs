@@ -70,7 +70,7 @@ pub use multi_sax::{
 pub use multi_view::{multi_view, multi_view_with_stats, MultiViewStats, SharedViewResult};
 pub use naive::{naive_direct, naive_xquery, rewrite_to_xquery};
 pub use patch::{site_chain, Collapse, FragmentTree, Localized, PatchOutcome};
-pub use prepared::{CompiledTransform, QueryCost};
+pub use prepared::{method_for, CompiledTransform};
 pub use query::{parse_transform, InsertPos, TransformParseError, TransformQuery, UpdateOp};
 pub use sax2pass::{
     two_pass_sax, two_pass_sax_files, two_pass_sax_str, EventSink, LdStorage, PathPrepass,

@@ -1,4 +1,4 @@
-//! Pre-compiled transform queries and cost hints.
+//! Pre-compiled transform queries and their evaluation method.
 //!
 //! Parsing a transform query and compiling its selecting/filtering NFAs
 //! is pure per-query work: it depends only on the query text, never on
@@ -7,17 +7,13 @@
 //! many concurrent evaluations — the paper's automata (Sections 3.2
 //! and 5) become shared, immutable plan objects.
 //!
-//! [`QueryCost`] summarizes the *shape* of the embedded X path — the
-//! features Section 7's experiments show to drive method ranking
-//! (descendant axes blow up NAIVE's rewriting, qualifier size dominates
-//! GENTOP's native checks, plain paths make topDown optimal) — so a
-//! planner can pick an evaluation method without touching the document.
-
-use std::fmt;
+//! Compilation also fixes the in-memory evaluation method once, by a
+//! static rule over the embedded X path (see [`method_for`]): the
+//! method never depends on the document or on observed latency.
 
 use xust_automata::{FilteringNfa, LabelSet, SelectingNfa};
 use xust_tree::Document;
-use xust_xpath::{Path, QualTable, StepKind};
+use xust_xpath::{Path, QualTable, Qualifier};
 
 use crate::bottomup::bottom_up_prebuilt;
 use crate::copy_update::copy_update;
@@ -27,76 +23,23 @@ use crate::query::{parse_transform, TransformParseError, TransformQuery};
 use crate::sax2pass::{LdStorage, PreparedTransform, SaxTransformError};
 use crate::topdown::{top_down_prebuilt, CheckP};
 
-/// Shape features of a transform query's embedded X path, extracted once
-/// at compile time. These are the inputs to `xust-serve`'s adaptive
-/// method planner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueryCost {
-    /// Number of steps (including `//` pseudo-steps).
-    pub steps: usize,
-    /// Total syntactic size |p| (steps plus qualifier sizes).
-    pub path_size: usize,
-    /// Number of `//` (descendant-or-self) steps.
-    pub descendant_steps: usize,
-    /// Number of `*` wildcard steps.
-    pub wildcard_steps: usize,
-    /// Number of steps carrying a qualifier.
-    pub qualifier_count: usize,
-    /// Size of the largest single qualifier (0 when there are none) — a
-    /// proxy for the per-node cost of native qualifier evaluation.
-    pub max_qualifier_size: usize,
-}
-
-impl QueryCost {
-    /// Extracts the features of `path`.
-    pub fn of_path(path: &Path) -> QueryCost {
-        let mut cost = QueryCost {
-            steps: path.steps.len(),
-            path_size: path.size(),
-            descendant_steps: 0,
-            wildcard_steps: 0,
-            qualifier_count: 0,
-            max_qualifier_size: 0,
-        };
-        for step in &path.steps {
-            match step.kind {
-                StepKind::Descendant => cost.descendant_steps += 1,
-                StepKind::Wildcard => cost.wildcard_steps += 1,
-                StepKind::Label(_) => {}
-            }
-            if let Some(q) = &step.qualifier {
-                cost.qualifier_count += 1;
-                cost.max_qualifier_size = cost.max_qualifier_size.max(q.size());
-            }
-        }
-        cost
-    }
-
-    /// True if the path uses any descendant axis — the feature that makes
-    /// pruning (and thus the automaton methods) pay off on large inputs.
-    pub fn has_descendant(&self) -> bool {
-        self.descendant_steps > 0
-    }
-
-    /// True if any step carries a qualifier — the feature that separates
-    /// GENTOP (native re-evaluation) from TD-BU (one bottom-up pass).
-    pub fn has_qualifiers(&self) -> bool {
-        self.qualifier_count > 0
-    }
-}
-
-impl fmt::Display for QueryCost {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "steps={} |p|={} desc={} wild={} quals={} maxq={}",
-            self.steps,
-            self.path_size,
-            self.descendant_steps,
-            self.wildcard_steps,
-            self.qualifier_count,
-            self.max_qualifier_size
-        )
+/// The in-memory evaluation method for a transform over `path`.
+///
+/// Section 7 ranks topDown (GENTOP) first for in-memory transforms, so
+/// it is the default. The one shape where GENTOP loses badly is a
+/// qualifier with a `//` step: checking it natively rescans a subtree
+/// at every candidate node, a cost that grows with the document, while
+/// TD-BU answers every qualifier in one bottom-up pass (Section 5's
+/// linear bound). Such paths get [`Method::TwoPass`].
+pub fn method_for(path: &Path) -> Method {
+    let deep_qualifier = path
+        .steps
+        .iter()
+        .any(|s| s.qualifier.as_ref().is_some_and(Qualifier::has_descendant));
+    if deep_qualifier {
+        Method::TwoPass
+    } else {
+        Method::TopDown
     }
 }
 
@@ -120,7 +63,7 @@ pub struct CompiledTransform {
     selecting: SelectingNfa,
     filtering: FilteringNfa,
     qual_table: QualTable,
-    cost: QueryCost,
+    method: Method,
     alphabet: LabelSet,
 }
 
@@ -130,7 +73,7 @@ impl CompiledTransform {
         let selecting = SelectingNfa::new(&query.path);
         let filtering = FilteringNfa::new(&query.path);
         let qual_table = QualTable::from_path(&query.path);
-        let cost = QueryCost::of_path(&query.path);
+        let method = method_for(&query.path);
         let mut alphabet = LabelSet::new();
         selecting.collect_alphabet(&mut alphabet);
         filtering.collect_alphabet(&mut alphabet);
@@ -141,7 +84,7 @@ impl CompiledTransform {
             selecting,
             filtering,
             qual_table,
-            cost,
+            method,
             alphabet,
         }
     }
@@ -156,9 +99,10 @@ impl CompiledTransform {
         &self.query
     }
 
-    /// The compile-time cost hints.
-    pub fn cost(&self) -> &QueryCost {
-        &self.cost
+    /// The in-memory evaluation method, fixed at compile time by
+    /// [`method_for`].
+    pub fn method(&self) -> Method {
+        self.method
     }
 
     /// The selecting NFA `Mp`.
@@ -295,18 +239,21 @@ mod tests {
     }
 
     #[test]
-    fn cost_features() {
-        let c = QueryCost::of_path(&parse_path("//part[pname = 'kb']/*/price").unwrap());
-        assert_eq!(c.descendant_steps, 1);
-        assert_eq!(c.wildcard_steps, 1);
-        assert_eq!(c.qualifier_count, 1);
-        assert!(c.has_descendant() && c.has_qualifiers());
-        assert!(c.max_qualifier_size >= 1);
-        assert!(c.path_size >= c.steps);
-        let plain = QueryCost::of_path(&parse_path("db/part/price").unwrap());
-        assert!(!plain.has_descendant() && !plain.has_qualifiers());
-        assert_eq!(plain.steps, 3);
-        assert!(!format!("{plain}").is_empty());
+    fn method_rule_picks_two_pass_only_for_descendant_qualifiers() {
+        for (path, want) in [
+            ("/site/people/person", Method::TopDown),
+            ("//part[pname = 'kb']/*/price", Method::TopDown),
+            ("/site/regions//item[location = 'x']", Method::TopDown),
+            ("//*[.//keyword]", Method::TwoPass),
+            ("/site//item[a and not(b//c)]/d", Method::TwoPass),
+            ("/site/a/b[c[.//d]]", Method::TwoPass),
+        ] {
+            assert_eq!(method_for(&parse_path(path).unwrap()), want, "{path}");
+        }
+        assert_eq!(
+            CompiledTransform::parse(Q).unwrap().method(),
+            Method::TopDown
+        );
     }
 
     #[test]

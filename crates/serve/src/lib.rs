@@ -15,9 +15,10 @@
 //!   keyed by text, so repeat requests skip parse + automaton
 //!   construction (hits/misses/compiles are counted and asserted in
 //!   tests);
-//! * [`AdaptivePlanner`] — picks an evaluation [`Method`] per request
-//!   from the query's compile-time [`QueryCost`] hints, the document's
-//!   [`DocShape`], and observed per-method latency feedback;
+//! * a fixed evaluation [`Method`] per compiled transform — GENTOP, or
+//!   TD-BU when a qualifier has a `//` step
+//!   ([`method_for`](xust_core::method_for)); file-backed documents
+//!   stream with twoPassSAX;
 //! * [`ViewResultCache`] — materialized view results, kept **valid
 //!   across live writes** by delta-aware maintenance: an
 //!   [`UPDATE`](Server::update_doc) retains every entry the write
@@ -83,7 +84,6 @@ pub mod error;
 pub mod executor;
 pub mod obs;
 pub mod pipeline;
-pub mod planner;
 pub mod registry;
 pub mod server;
 pub mod stats;
@@ -96,20 +96,19 @@ pub use error::ServeError;
 pub use executor::ThreadPool;
 pub use obs::{HistogramSnapshot, LatencyHistogram, Obs, Phase, RequestTrace, Trace};
 pub use pipeline::{serve_pipelined, PipelineOptions};
-pub use planner::{AdaptivePlanner, DocShape, PlanChoice, PlannerConfig};
 pub use registry::{ViewBody, ViewDef, ViewRegistry};
 pub use server::{
-    Analysis, CandidateEvidence, DocSource, Explanation, LinkPlan, Request, Response, Server,
-    ServerBuilder, StreamingSession, WalRecovery,
+    Analysis, DocSource, Explanation, LinkPlan, Request, Response, Server, ServerBuilder,
+    StreamingSession, WalRecovery,
 };
 pub use stats::{json_escape, DeltaCell, EwmaCell, ServeStats, StatsSnapshot, Verb};
 pub use store::{DocStore, StoreSnapshot, StoreUpdateError, VersionedDoc, WriteStamp};
 pub use viewcache::{MaintainOutcome, ViewResultCache};
 pub use wal::{Wal, WalRecord, WalReplay};
 
-// Re-exported so callers can speak the planner's vocabulary without
-// depending on xust-core directly.
-pub use xust_core::{LabelSet, Method, QueryCost};
+// Re-exported so callers can name evaluation methods and label sets
+// without depending on xust-core directly.
+pub use xust_core::{LabelSet, Method};
 
 // Re-exported so callers can consume the registration-time static
 // analysis ([`Server::analyze`], [`ViewDef::analysis`]) without

@@ -3,7 +3,7 @@
 //! `TRACE` protocol verbs.
 //!
 //! The EWMA cells in [`stats`](crate::stats) answer "what is the
-//! smoothed mean" — useful for the planner, useless for tail latency.
+//! smoothed mean" — useful for a dashboard, useless for tail latency.
 //! This module keeps the *distribution*: every recorded duration lands
 //! in a fixed array of power-of-√2 buckets via one relaxed
 //! `fetch_add`, so p50/p90/p99/max are available per verb, per view,
@@ -191,7 +191,9 @@ impl LatencyHistogram {
 pub enum Phase {
     /// Request/query text parsing (incl. file→DOM parses).
     Parse,
-    /// Planner method choice.
+    /// Evaluation-method choice. The method is fixed when a transform
+    /// compiles, so the server records no time here; the phase stays
+    /// part of the trace vocabulary.
     Plan,
     /// Prepared-query / view-result cache lookups.
     Cache,
@@ -246,7 +248,8 @@ pub struct RequestTrace {
     pub prepared_hit: Option<bool>,
     /// View-result-cache outcome, when the request consulted it.
     pub result_hit: Option<bool>,
-    /// Planner decision inputs, one entry per planned link.
+    /// Method notes, one entry per evaluated link (input size and
+    /// method).
     pub plan: Vec<String>,
 }
 
@@ -360,7 +363,8 @@ impl Trace {
     }
 
     /// Attributes an externally measured duration to `phase` (for
-    /// sections that already time themselves for planner feedback).
+    /// sections that already time themselves, e.g. evaluation feeding
+    /// the method histograms).
     pub fn phase_micros(&mut self, phase: Phase, micros: u64) {
         if let Some(buf) = self.buf.as_deref_mut() {
             buf.push_phase(phase, micros);
@@ -388,7 +392,7 @@ impl Trace {
         }
     }
 
-    /// Appends one planner-decision note; `f` runs (and allocates) only
+    /// Appends one method note; `f` runs (and allocates) only
     /// when the trace is recording.
     pub fn note_plan(&mut self, f: impl FnOnce() -> String) {
         if let Some(buf) = self.buf.as_deref_mut() {
@@ -587,8 +591,7 @@ impl Obs {
     }
 
     /// Records one evaluation's duration against its method — called at
-    /// the evaluation sites (same place planner feedback is recorded),
-    /// so method histograms measure *evaluation* time, not whole
+    /// the evaluation sites, so method histograms measure *evaluation* time, not whole
     /// requests.
     pub fn record_method(&self, method: Method, micros: u64) {
         if self.is_enabled() {

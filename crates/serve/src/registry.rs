@@ -13,7 +13,7 @@ use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 use xust_analyze::{analyze_path, analyze_view, views_equivalent, ViewAnalysis};
-use xust_core::{CompiledTransform, LabelSet, MultiTransformQuery, QueryCost, UpdateOp};
+use xust_core::{CompiledTransform, LabelSet, MultiTransformQuery, UpdateOp};
 use xust_secview::Policy;
 use xust_xpath::Path;
 
@@ -99,40 +99,6 @@ impl ViewDef {
             ViewBody::Chain(links) if links.len() == 1 => links.first(),
             _ => None,
         }
-    }
-
-    /// Aggregate cost hints across the body, for the planner: feature
-    /// maxima over the links (the dominant link dominates the plan).
-    pub fn cost(&self) -> QueryCost {
-        let mut agg = QueryCost {
-            steps: 0,
-            path_size: 0,
-            descendant_steps: 0,
-            wildcard_steps: 0,
-            qualifier_count: 0,
-            max_qualifier_size: 0,
-        };
-        let mut fold = |c: &QueryCost| {
-            agg.steps = agg.steps.max(c.steps);
-            agg.path_size = agg.path_size.max(c.path_size);
-            agg.descendant_steps = agg.descendant_steps.max(c.descendant_steps);
-            agg.wildcard_steps = agg.wildcard_steps.max(c.wildcard_steps);
-            agg.qualifier_count = agg.qualifier_count.max(c.qualifier_count);
-            agg.max_qualifier_size = agg.max_qualifier_size.max(c.max_qualifier_size);
-        };
-        match &self.body {
-            ViewBody::Chain(links) => {
-                for l in links {
-                    fold(l.cost());
-                }
-            }
-            ViewBody::Multi(mq) => {
-                for (path, _) in &mq.updates {
-                    fold(&QueryCost::of_path(path));
-                }
-            }
-        }
-        agg
     }
 }
 
@@ -443,7 +409,6 @@ mod tests {
         let r = ViewRegistry::new();
         let def = r.register("sec", DEL).unwrap();
         assert!(def.single().is_some());
-        assert!(def.cost().has_descendant());
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //! 4. the [`ViewResultCache`] of materialized view results, consulted
 //!    by view reads and *maintained* (not just invalidated) by the live
 //!    write path [`Server::update_doc`];
-//! 5. the [`AdaptivePlanner`] choosing an evaluation method per request
-//!    from cost hints plus observed latency, and a [`ThreadPool`] for
-//!    the batched/asynchronous entry points.
+//! 5. a [`ThreadPool`] for the batched/asynchronous entry points.
+//!
+//! Every evaluation runs the method its [`CompiledTransform`] fixed at
+//! compile time (GENTOP, or TD-BU when a qualifier has a `//` step);
+//! file-backed documents stream with twoPassSAX.
 //!
 //! `Server` is `Clone` (a cheap `Arc` handle) and every entry point
 //! takes `&self`, so any number of client threads can call into one
@@ -44,8 +46,7 @@ use xust_xpath::{eval_path_root, Path};
 use crate::cache::PreparedCache;
 use crate::error::ServeError;
 use crate::executor::ThreadPool;
-use crate::obs::{HistogramSnapshot, Obs, Phase, Trace};
-use crate::planner::{AdaptivePlanner, DocShape, PlanChoice, PlannerConfig};
+use crate::obs::{Obs, Phase, Trace};
 use crate::registry::{ViewBody, ViewDef, ViewRegistry};
 use crate::stats::{ServeStats, StatsSnapshot, Verb};
 use crate::store::{DocStore, StoreSnapshot, StoreUpdateError, WriteStamp};
@@ -158,8 +159,9 @@ pub enum Request {
 pub struct Response {
     /// Serialized XML result.
     pub body: String,
-    /// The evaluation method the planner chose (None for composed
-    /// queries, which run on the XQuery engine).
+    /// The evaluation method that produced the body (None for cache
+    /// hits, dead views, and composed queries, which run on the XQuery
+    /// engine).
     pub method: Option<Method>,
     /// Wall-clock service time in microseconds.
     pub micros: u64,
@@ -184,7 +186,6 @@ pub struct ServerBuilder {
     shards: usize,
     cache_capacity: usize,
     result_capacity: usize,
-    planner: PlannerConfig,
     tracing: bool,
     patching: bool,
 }
@@ -198,7 +199,6 @@ impl Default for ServerBuilder {
             shards: 8,
             cache_capacity: 256,
             result_capacity: 64,
-            planner: PlannerConfig::default(),
             tracing: true,
             patching: true,
         }
@@ -232,12 +232,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Planner knobs.
-    pub fn planner(mut self, config: PlannerConfig) -> ServerBuilder {
-        self.planner = config;
-        self
-    }
-
     /// Per-request tracing and latency histograms (default on). Off,
     /// every recording path degenerates to a branch on a dead option —
     /// the `--no-trace` mode the `obs_overhead` bench row compares
@@ -265,7 +259,6 @@ impl ServerBuilder {
                 transforms: PreparedCache::new(self.cache_capacity),
                 composed: PreparedCache::new(self.cache_capacity),
                 results: ViewResultCache::new(self.result_capacity),
-                planner: AdaptivePlanner::new(self.planner),
                 stats: ServeStats::default(),
                 obs: Obs::new(self.tracing),
                 pool: ThreadPool::new(self.threads),
@@ -283,7 +276,6 @@ struct Inner {
     transforms: PreparedCache<CompiledTransform>,
     composed: PreparedCache<ComposedQuery>,
     results: ViewResultCache,
-    planner: AdaptivePlanner,
     stats: ServeStats,
     obs: Obs,
     pool: ThreadPool,
@@ -313,6 +305,14 @@ struct CommuteState {
     watermark: u64,
     /// `(doc, update text) → static-clear table`.
     tables: HashMap<(String, String), Arc<HashMap<String, u64>>>,
+}
+
+/// True when a batched `VIEW` of `def` may ride a shared factorised
+/// pass: a live single-link view whose compiled method is GENTOP. The
+/// shared sweep checks qualifiers natively, like GENTOP, so a view the
+/// method rule sends to TD-BU keeps its private pass.
+fn rides_shared_pass(def: &ViewDef) -> bool {
+    !def.analysis.dead && def.single().is_some_and(|l| l.method() == Method::TopDown)
 }
 
 /// Memoized tables kept per server before the map is cleared wholesale
@@ -771,9 +771,8 @@ impl Server {
     /// ([`ThreadPool::run_batch`]), so one slow request never serializes
     /// the rest while total concurrency stays bounded by the pool size
     /// even under many simultaneous batch callers. Results come back in
-    /// request order; per-item method/latency observations are merged
-    /// into the planner's EWMA feedback and the per-view latency cells
-    /// as each item completes.
+    /// request order; per-item latencies are merged into the per-view
+    /// latency cells as each item completes.
     ///
     /// `VIEW` items are additionally **grouped by document**: co-resident
     /// single-link views of the same in-memory document ride one shared
@@ -807,10 +806,10 @@ impl Server {
                 Request::Update { doc, .. } => (Verb::Update, None, doc.clone()),
             })
             .collect();
-        // Group `VIEW` items by document. Only single-link views of
-        // in-memory documents can ride a shared pass (the same shapes
-        // the result cache accepts); a group of one gains nothing and
-        // stays on the private path.
+        // Group `VIEW` items by document. Only single-link GENTOP views
+        // of in-memory documents can ride a shared pass (see
+        // `rides_shared_pass`); a group of one gains nothing and stays
+        // on the private path.
         let mut by_doc: HashMap<String, Vec<usize>> = HashMap::new();
         for (i, req) in requests.iter().enumerate() {
             if let Request::View { view, doc } = req {
@@ -819,7 +818,7 @@ impl Server {
                         .inner
                         .registry
                         .get(view)
-                        .is_some_and(|def| def.single().is_some() && !def.analysis.dead);
+                        .is_some_and(|def| rides_shared_pass(&def));
                 if groupable {
                     by_doc.entry(doc.clone()).or_default().push(i);
                 }
@@ -1401,9 +1400,7 @@ impl Server {
         let mut fallback: Vec<(usize, String)> = Vec::new();
         for (idx, view) in items {
             match self.inner.registry.get(&view) {
-                Some(def) if def.single().is_some() && !def.analysis.dead => {
-                    shared.push((idx, view, def))
-                }
+                Some(def) if rides_shared_pass(&def) => shared.push((idx, view, def)),
                 _ => fallback.push((idx, view)),
             }
         }
@@ -1465,9 +1462,7 @@ impl Server {
             return out;
         }
         // ONE sweep for every miss. Each item's Eval phase is charged
-        // the whole pass (it *is* the pass the item waited on); the
-        // planner's per-method model is deliberately not fed — shared
-        // timing would poison the private passes' cost estimates.
+        // the whole pass (it *is* the pass the item waited on).
         let queries: Vec<&TransformQuery> = pending
             .iter()
             .map(|(_, _, def, _, _)| def.single().expect("re-checked above").query())
@@ -1549,11 +1544,6 @@ impl Server {
     /// count) — exposed for observability and tests.
     pub fn view_results(&self) -> &ViewResultCache {
         &self.inner.results
-    }
-
-    /// Planner model state: `(method, size_class, ns_per_node, samples)`.
-    pub fn planner_snapshot(&self) -> Vec<(Method, usize, f64, u64)> {
-        self.inner.planner.snapshot()
     }
 
     /// Compilations performed registering views (once per link, ever).
@@ -1707,10 +1697,9 @@ impl Server {
     }
 
     /// Reports — **without executing anything** — the plan a `VIEW
-    /// view doc` request would run right now: the method the planner
-    /// would pick per link, the histogram-vs-EWMA latency evidence per
-    /// candidate method, and whether the view-result cache holds this
-    /// (view, doc) at the current document version.
+    /// view doc` request would run: the method per link with the rule
+    /// behind it, the document shape, and whether the view-result cache
+    /// holds this (view, doc) at the current document version.
     pub fn explain(&self, view: &str, doc: &str) -> Result<Explanation, ServeError> {
         let result = self.explain_inner(view, doc);
         self.inner.stats.record_verb(Verb::Explain, result.is_ok());
@@ -1777,126 +1766,68 @@ impl Server {
             .registry
             .get(view)
             .ok_or_else(|| ServeError::UnknownView(view.to_string()))?;
-        let docs = DocView::Live(&self.inner.docs);
-        let (source, version) = docs.get_versioned(doc)?;
-        let cacheable =
-            matches!(&source, DocSource::Memory(_)) && matches!(&def.body, ViewBody::Chain(_));
-        // `peek` is the non-perturbing probe: no hit/miss counted, no
-        // LRU bump — EXPLAIN must not change what it reports on.
-        let result_cached = cacheable.then(|| {
-            self.inner
-                .results
-                .peek(&def.cache_key, doc, version, def.cache_generation)
-        });
-        let (shape_text, links) = match (&source, &def.body) {
-            (DocSource::Memory(d), ViewBody::Chain(chain)) => {
-                let nodes = d.arena_len();
-                let shape = DocShape::InMemory { nodes };
-                let links = chain
-                    .iter()
-                    .enumerate()
-                    .map(|(i, link)| {
-                        let plan = self.inner.planner.explain(link.cost(), shape);
-                        LinkPlan {
-                            index: i,
-                            method: plan.method,
-                            fixed: false,
-                            // Links past the first run on the previous
-                            // link's *output*, whose size is unknown
-                            // without executing — planned against the
-                            // base shape instead.
-                            approximate: i > 0,
-                            candidates: self.evidence_of(&plan),
-                        }
-                    })
-                    .collect();
-                (format!("memory nodes={nodes}"), links)
-            }
-            (DocSource::File(path), ViewBody::Chain(chain)) => {
+        let (source, version) = DocView::Live(&self.inner.docs).get_versioned(doc)?;
+        let shape = match &source {
+            DocSource::Memory(d) => format!("memory nodes={}", d.arena_len()),
+            DocSource::File(path) => {
                 let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-                if chain.len() == 1 {
-                    // Single-link file views stream; no choice to make.
-                    let plan = self
-                        .inner
-                        .planner
-                        .explain(chain[0].cost(), DocShape::File { bytes });
-                    let links = vec![LinkPlan {
-                        index: 0,
-                        method: Method::TwoPassSax,
-                        fixed: true,
-                        approximate: false,
-                        candidates: self.evidence_of(&plan),
-                    }];
-                    (format!("file bytes={bytes}"), links)
-                } else {
-                    // Multi-link file chains parse the file first; the
-                    // node count is estimated from its size, so every
-                    // link's plan is approximate.
-                    let nodes = (bytes / 64).max(1) as usize;
-                    let shape = DocShape::InMemory { nodes };
-                    let links = chain
-                        .iter()
-                        .enumerate()
-                        .map(|(i, link)| {
-                            let plan = self.inner.planner.explain(link.cost(), shape);
-                            LinkPlan {
-                                index: i,
-                                method: plan.method,
-                                fixed: false,
-                                approximate: true,
-                                candidates: self.evidence_of(&plan),
-                            }
-                        })
-                        .collect();
-                    (format!("file bytes={bytes} est_nodes={nodes}"), links)
-                }
-            }
-            (source, ViewBody::Multi(_)) => {
-                // Multi-transform views always run the fused top-down
-                // plan; report its evidence.
-                let (shape_text, approximate) = match source {
-                    DocSource::Memory(d) => (format!("memory nodes={}", d.arena_len()), false),
-                    DocSource::File(path) => {
-                        let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-                        (format!("file bytes={bytes}"), true)
-                    }
-                };
-                let links = vec![LinkPlan {
-                    index: 0,
-                    method: Method::TopDown,
-                    fixed: true,
-                    approximate,
-                    candidates: vec![self.evidence_for(Method::TopDown, None)],
-                }];
-                (shape_text, links)
+                format!("file bytes={bytes}")
             }
         };
-        Ok(Explanation {
+        let mut explanation = Explanation {
             view: view.to_string(),
             doc: doc.to_string(),
             version,
             generation: def.generation,
-            shape: shape_text,
-            result_cached,
-            links,
-        })
-    }
-
-    /// Evidence rows for every candidate in a planner decision.
-    fn evidence_of(&self, plan: &PlanChoice) -> Vec<CandidateEvidence> {
-        plan.candidates
-            .iter()
-            .map(|&(m, ewma)| self.evidence_for(m, ewma))
-            .collect()
-    }
-
-    fn evidence_for(&self, method: Method, ewma: Option<(f64, u64)>) -> CandidateEvidence {
-        let snap = self.inner.obs.method_histogram(method).snapshot();
-        CandidateEvidence {
-            method,
-            ewma,
-            histogram: (snap.count > 0).then_some(snap),
+            shape,
+            dead: false,
+            result_cached: None,
+            links: Vec::new(),
+        };
+        // Mirrors `handle_view`'s routing: a dead view of an in-memory
+        // document serves the base document and evaluates nothing.
+        if def.analysis.dead && matches!(&source, DocSource::Memory(_)) {
+            explanation.dead = true;
+            return Ok(explanation);
         }
+        explanation.links = match (&source, &def.body) {
+            (DocSource::File(_), ViewBody::Chain(chain)) if chain.len() == 1 => vec![LinkPlan {
+                index: 0,
+                method: Method::TwoPassSax,
+                reason: "file-backed",
+            }],
+            (_, ViewBody::Chain(chain)) => {
+                // `peek` is the non-perturbing probe: no hit/miss
+                // counted, no LRU bump — EXPLAIN must not change what it
+                // reports on.
+                if matches!(&source, DocSource::Memory(_)) {
+                    explanation.result_cached = Some(self.inner.results.peek(
+                        &def.cache_key,
+                        doc,
+                        version,
+                        def.cache_generation,
+                    ));
+                }
+                chain
+                    .iter()
+                    .enumerate()
+                    .map(|(index, link)| LinkPlan {
+                        index,
+                        method: link.method(),
+                        reason: match link.method() {
+                            Method::TwoPass => "qualifier with //",
+                            _ => "default",
+                        },
+                    })
+                    .collect()
+            }
+            (_, ViewBody::Multi(_)) => vec![LinkPlan {
+                index: 0,
+                method: Method::TopDown,
+                reason: "fused multi-update",
+            }],
+        };
+        Ok(explanation)
     }
 
     // ---- request handlers ----
@@ -1928,21 +1859,14 @@ impl Server {
         rt.note_prepared(hit);
         match source {
             DocSource::Memory(d) => {
-                let shape = DocShape::InMemory {
-                    nodes: d.arena_len(),
-                };
-                let tp = rt.start();
-                let method = self.inner.planner.choose(ct.cost(), shape);
-                rt.phase(Phase::Plan, tp);
+                let method = ct.method();
                 rt.note_plan(|| format!("transform: nodes={} method={method}", d.arena_len()));
                 let t = Instant::now();
                 let out = ct
                     .evaluate(&d, method)
                     .map_err(|e| ServeError::Eval(e.to_string()))?;
-                let elapsed = t.elapsed();
-                self.inner.planner.record(method, shape, elapsed);
                 stats.count_method(method);
-                let eval_micros = elapsed.as_micros() as u64;
+                let eval_micros = t.elapsed().as_micros() as u64;
                 rt.phase_micros(Phase::Eval, eval_micros);
                 self.inner.obs.record_method(method, eval_micros);
                 let t = rt.start();
@@ -1956,21 +1880,18 @@ impl Server {
                 })
             }
             DocSource::File(path) => {
-                let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                let shape = DocShape::File { bytes };
-                rt.note_plan(|| format!("transform: file bytes={bytes} method=twoPassSAX"));
+                rt.note_plan(|| {
+                    let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+                    format!("transform: file bytes={bytes} method=twoPassSAX")
+                });
                 let t = Instant::now();
                 // Streams the file (two buffered passes); only the
                 // serialized result is buffered for the response body.
                 let body = ct
                     .evaluate_stream_file(&path)
                     .map_err(|e| ServeError::Eval(e.to_string()))?;
-                let elapsed = t.elapsed();
-                self.inner
-                    .planner
-                    .record(Method::TwoPassSax, shape, elapsed);
                 stats.count_method(Method::TwoPassSax);
-                let eval_micros = elapsed.as_micros() as u64;
+                let eval_micros = t.elapsed().as_micros() as u64;
                 rt.phase_micros(Phase::Eval, eval_micros);
                 self.inner
                     .obs
@@ -2063,18 +1984,16 @@ impl Server {
         // File-backed, single-link chains stream end to end: the input
         // is never held in memory, only the response body.
         if let (DocSource::File(path), Some(link)) = (&source, def.single()) {
-            let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-            rt.note_plan(|| format!("link0: file bytes={bytes} method=twoPassSAX"));
+            rt.note_plan(|| {
+                let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+                format!("link0: file bytes={bytes} method=twoPassSAX")
+            });
             let t = Instant::now();
             let body = link
                 .evaluate_stream_file(path)
                 .map_err(|e| ServeError::Eval(e.to_string()))?;
-            let elapsed = t.elapsed();
-            self.inner
-                .planner
-                .record(Method::TwoPassSax, DocShape::File { bytes }, elapsed);
             self.inner.stats.count_method(Method::TwoPassSax);
-            let eval_micros = elapsed.as_micros() as u64;
+            let eval_micros = t.elapsed().as_micros() as u64;
             rt.phase_micros(Phase::Eval, eval_micros);
             self.inner
                 .obs
@@ -2272,8 +2191,8 @@ impl Server {
         }
     }
 
-    /// Applies a view body to a base document with planner-chosen
-    /// methods; returns the result and the (last) method used. When
+    /// Applies a view body to a base document, each link with its
+    /// compiled method; returns the result and the (last) method used. When
     /// `touched` is given (chain bodies only), the labels each link's
     /// update touches — evaluated against that link's *input* — are
     /// folded in, so the result can be cached with its touched set.
@@ -2307,12 +2226,7 @@ impl Server {
                         touched.record(doc_ref, &targets, &q.op);
                         rt.phase(Phase::Cache, t);
                     }
-                    let shape = DocShape::InMemory {
-                        nodes: doc_ref.arena_len(),
-                    };
-                    let tp = rt.start();
-                    let method = self.inner.planner.choose(link.cost(), shape);
-                    rt.phase(Phase::Plan, tp);
+                    let method = link.method();
                     rt.note_plan(|| {
                         format!("link{i}: nodes={} method={method}", doc_ref.arena_len())
                     });
@@ -2320,10 +2234,8 @@ impl Server {
                     let next = link
                         .evaluate(doc_ref, method)
                         .map_err(|e| ServeError::Eval(e.to_string()))?;
-                    let elapsed = t.elapsed();
-                    self.inner.planner.record(method, shape, elapsed);
                     self.inner.stats.count_method(method);
-                    let eval_micros = elapsed.as_micros() as u64;
+                    let eval_micros = t.elapsed().as_micros() as u64;
                     rt.phase_micros(Phase::Eval, eval_micros);
                     self.inner.obs.record_method(method, eval_micros);
                     last_method = Some(method);
@@ -2342,16 +2254,8 @@ impl Server {
                 });
                 let t = Instant::now();
                 let out = multi_top_down(base, mq);
-                let elapsed = t.elapsed();
-                self.inner.planner.record(
-                    Method::TopDown,
-                    DocShape::InMemory {
-                        nodes: base.arena_len(),
-                    },
-                    elapsed,
-                );
                 self.inner.stats.count_method(Method::TopDown);
-                let eval_micros = elapsed.as_micros() as u64;
+                let eval_micros = t.elapsed().as_micros() as u64;
                 rt.phase_micros(Phase::Eval, eval_micros);
                 self.inner.obs.record_method(Method::TopDown, eval_micros);
                 Ok((out, Some(Method::TopDown)))
@@ -2454,7 +2358,7 @@ fn frag_leaf_limit(base: &Document) -> usize {
 }
 
 /// What [`Server::explain`] reports: the plan a `VIEW view doc`
-/// request would run right now, with the evidence behind each choice.
+/// request would run.
 #[derive(Debug, Clone)]
 pub struct Explanation {
     /// The view being explained.
@@ -2469,6 +2373,9 @@ pub struct Explanation {
     /// Human-readable document shape (`memory nodes=…` / `file
     /// bytes=…`).
     pub shape: String,
+    /// True when the view is statically dead: `VIEW` serves the base
+    /// document without evaluating anything, so there are no links.
+    pub dead: bool,
     /// View-result-cache residency at (version, generation): `None`
     /// when the (source, body) combination is not cacheable at all.
     pub result_cached: Option<bool>,
@@ -2481,31 +2388,11 @@ pub struct Explanation {
 pub struct LinkPlan {
     /// Position in the view's chain.
     pub index: usize,
-    /// The method the planner would pick.
+    /// The method the link evaluates with.
     pub method: Method,
-    /// True when the method is forced by the shape (file → streaming,
-    /// multi-transform → fused top-down), not chosen adaptively.
-    pub fixed: bool,
-    /// True when the plan was made against an estimated shape (later
-    /// chain links, unparsed files) rather than the exact input.
-    pub approximate: bool,
-    /// Evidence per candidate method, in prior order.
-    pub candidates: Vec<CandidateEvidence>,
-}
-
-/// The latency evidence [`Server::explain`] holds for one candidate
-/// method: the planner's EWMA feedback cell and the observability
-/// layer's evaluation-latency histogram, either absent when unsampled.
-#[derive(Debug, Clone)]
-pub struct CandidateEvidence {
-    /// The candidate method.
-    pub method: Method,
-    /// Planner feedback: `(ns_per_node, samples)` in the consulted size
-    /// class, if sampled.
-    pub ewma: Option<(f64, u64)>,
-    /// Evaluation-latency digest for this method across all requests,
-    /// if any were recorded (absent with tracing off).
-    pub histogram: Option<HistogramSnapshot>,
+    /// Why: `default` (GENTOP), `qualifier with //` (TD-BU),
+    /// `file-backed` (twoPassSAX) or `fused multi-update`.
+    pub reason: &'static str,
 }
 
 impl std::fmt::Display for Explanation {
@@ -2524,34 +2411,15 @@ impl std::fmt::Display for Explanation {
                 None => "n/a",
             }
         )?;
+        if self.dead {
+            write!(f, "\ndead (serves the base document)")?;
+        }
         for link in &self.links {
             write!(
                 f,
-                "\nlink {}: method={}{}{}",
-                link.index,
-                link.method,
-                if link.fixed { " (fixed)" } else { "" },
-                if link.approximate {
-                    " (approximate)"
-                } else {
-                    ""
-                }
+                "\nlink {}: method={} ({})",
+                link.index, link.method, link.reason
             )?;
-            for c in &link.candidates {
-                write!(f, "\n  {}:", c.method)?;
-                match c.ewma {
-                    Some((ns, samples)) => write!(f, " ewma={ns:.1}ns/node samples={samples}")?,
-                    None => write!(f, " ewma=unsampled")?,
-                }
-                match &c.histogram {
-                    Some(h) => write!(
-                        f,
-                        " hist n={} p50={}µs p90={}µs p99={}µs max={}µs",
-                        h.count, h.p50, h.p90, h.p99, h.max
-                    )?,
-                    None => write!(f, " hist=empty")?,
-                }
-            }
         }
         Ok(())
     }
@@ -2766,9 +2634,9 @@ impl StreamingSession {
     ///
     /// The session's wall-clock is *client-paced* (the caller feeds
     /// events at whatever rate the network delivers them), so it is
-    /// deliberately NOT fed into the adaptive planner's latency model —
-    /// one slow client must not make `TwoPassSax` look slow to the
-    /// planner for everyone else.
+    /// deliberately NOT recorded in the per-method latency histogram —
+    /// one slow client must not make `TwoPassSax` look slow for
+    /// everyone else.
     pub fn finish(mut self) -> Result<(Vec<u8>, SaxStats), ServeError> {
         let mut sink = SessionSink {
             w: &mut self.writer,

@@ -114,8 +114,7 @@ impl Qualifier {
     }
 
     /// Syntactic size of this qualifier — its contribution to |p| and a
-    /// proxy for per-node evaluation cost (used by the cost hints that
-    /// drive `xust-serve`'s method planner).
+    /// proxy for per-node evaluation cost.
     pub fn size(&self) -> usize {
         match self {
             Qualifier::Exists(p) => p.size(),
@@ -123,6 +122,21 @@ impl Qualifier {
             Qualifier::LabelIs(_) => 1,
             Qualifier::And(a, b) | Qualifier::Or(a, b) => 1 + a.size() + b.size(),
             Qualifier::Not(a) => 1 + a.size(),
+        }
+    }
+
+    /// True if any path inside this qualifier (nested qualifiers
+    /// included) has a `//` step — the shape whose native evaluation
+    /// rescans a whole subtree at every candidate node.
+    pub fn has_descendant(&self) -> bool {
+        match self {
+            Qualifier::Exists(p) | Qualifier::Cmp(p, _, _) => p.path.steps.iter().any(|s| {
+                s.kind == StepKind::Descendant
+                    || s.qualifier.as_ref().is_some_and(Qualifier::has_descendant)
+            }),
+            Qualifier::LabelIs(_) => false,
+            Qualifier::And(a, b) | Qualifier::Or(a, b) => a.has_descendant() || b.has_descendant(),
+            Qualifier::Not(a) => a.has_descendant(),
         }
     }
 }
@@ -361,5 +375,28 @@ mod tests {
         };
         assert!(p.size() >= 3);
         assert_eq!(Path::empty().size(), 1);
+    }
+
+    #[test]
+    fn qualifier_descendant_detection() {
+        let q = |s: &str| crate::parse_qualifier(s).unwrap().has_descendant();
+        for deep in [
+            ".//keyword",
+            "a//b = 'x'",
+            "a and not(.//b)",
+            "a[.//b]",
+            "b or c[d[.//e]]",
+        ] {
+            assert!(q(deep), "{deep}");
+        }
+        for flat in [
+            "keyword",
+            "profile/age > 20",
+            "@id = 'x'",
+            "label() = a",
+            "a[b]",
+        ] {
+            assert!(!q(flat), "{flat}");
+        }
     }
 }

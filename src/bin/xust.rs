@@ -16,8 +16,8 @@
 //! routed to the fused multi-automaton (DOM) or the streaming
 //! multi-pass (stream) evaluator.
 //!
-//! `exec` runs a transform through `xust-serve`'s adaptive planner
-//! (printing the chosen method with `--stats`); `serve` starts the
+//! `exec` runs a transform through `xust-serve` with the method fixed
+//! at compile time (printing it with `--stats`); `serve` starts the
 //! concurrent view service speaking a line protocol over TCP or
 //! stdin/stdout (see [`serve_connection`]).
 
@@ -83,7 +83,7 @@ requests may be pipelined — replies always come back in request order, and
 write verbs act as barriers, so a read after an UPDATE sees the update):
   VIEW <view> <doc>               materialize a registered view
   QUERY <view> <doc> <xquery…>    answer a user query over the virtual view
-  TRANSFORM <doc> <transform…>    run an ad-hoc transform (prepared cache + planner)
+  TRANSFORM <doc> <transform…>    run an ad-hoc transform through the prepared cache
   UPDATE <doc> <transform…>       apply the embedded update(s) to the stored doc
                                   (COW version bump + delta-aware cache maintenance)
   LOAD <doc> <path>               load or reload a document from a server-side file
@@ -96,9 +96,10 @@ write verbs act as barriers, so a read after an UPDATE sees the update):
                                   counter, gauge, and latency histogram
   TRACE [n]                       the n most recent request traces (default 8)
                                   plus the slowest requests, phase by phase
-  EXPLAIN <view> <doc>            the method the planner would pick for each
-                                  link of <view> over <doc>, with the evidence
-                                  (EWMA + histogram) — without executing
+  EXPLAIN <view> <doc>            the method each link of <view> runs over <doc>
+                                  and why (GENTOP by default, TD-BU for a
+                                  qualifier with //, twoPassSAX for a file-backed
+                                  doc), plus result-cache state — without executing
   ANALYZE <view>                  the registration-time static analysis of
                                   <view>: satisfiability (dead views), NFA
                                   dead states, folded qualifiers, alphabet,
@@ -386,7 +387,7 @@ fn cmd_validate(o: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// `exec`: one-shot planned execution through the serving layer.
+/// `exec`: one-shot execution through the serving layer.
 fn cmd_exec(o: &Opts) -> Result<(), String> {
     let query = require(&o.query, "-q <transform query>")?;
     let input = require(&o.input, "-i <input.xml>")?;
@@ -394,8 +395,8 @@ fn cmd_exec(o: &Opts) -> Result<(), String> {
         .threads(o.threads.unwrap_or(1))
         .tracing(!o.no_trace)
         .build();
-    // `--stream` keeps the input file-backed (the planner then routes to
-    // twoPassSAX); otherwise parse once so DOM methods are candidates.
+    // `--stream` keeps the input file-backed (the server then streams it
+    // with twoPassSAX); otherwise parse once for the DOM methods.
     if o.stream {
         server
             .load_doc_file("doc", input)
@@ -762,7 +763,7 @@ mod tests {
             text.contains("explain view=public doc=db"),
             "explain missing: {text}"
         );
-        assert!(text.contains("link 0: method="));
+        assert!(text.contains("link 0: method=GENTOP (default)"), "{text}");
         assert!(text.contains("ERR unknown document 'nosuchdoc'"));
         assert!(text.contains("ERR EXPLAIN <view> <doc>"));
         // ANALYZE: the registration-time static-analysis report.

@@ -1,12 +1,11 @@
 //! End-to-end observability: the METRICS exposition parses line by
 //! line, histograms stay conserved under concurrency, TRACE captures a
-//! slow request's phase breakdown, and EXPLAIN predicts the method the
-//! planner then actually picks.
+//! slow request's phase breakdown, and EXPLAIN reports the method VIEW
+//! and TRANSFORM then actually run.
 
-use xust::serve::{LatencyHistogram, Phase, PlannerConfig, Request, Server};
+use xust::serve::{LatencyHistogram, Method, Phase, Request, Server};
 
-/// A memory document big enough to clear the planner's tiny-doc
-/// threshold (3 nodes per part + root).
+/// A memory document of `parts` parts (3 nodes per part + root).
 fn big_doc(parts: usize) -> String {
     let mut xml = String::from("<db>");
     for i in 0..parts {
@@ -248,60 +247,141 @@ fn tracing_disabled_records_nothing_but_serves_metrics() {
     assert!(text.contains("xust_verb_requests_total{verb=\"view\"} 1"));
 }
 
-#[test]
-fn explain_predicts_the_method_the_planner_then_picks() {
-    // Exploration off and the result cache disabled: every VIEW
-    // re-materializes, and between EXPLAIN and the next VIEW no
-    // feedback lands — the two must agree exactly.
-    let server = Server::builder()
-        .threads(1)
-        .result_cache_capacity(0)
-        .planner(PlannerConfig {
-            explore_every: 0,
-            ..PlannerConfig::default()
-        })
-        .build();
-    server.load_doc_str("db", &big_doc(2000)).unwrap();
-    server.register_view("public", view_query()).unwrap();
-    // Warm the planner's feedback cells.
-    for _ in 0..4 {
-        server
-            .handle(&Request::View {
-                view: "public".into(),
-                doc: "db".into(),
-            })
-            .unwrap();
-    }
-    let explanation = server.explain("public", "db").unwrap();
-    assert_eq!(explanation.links.len(), 1);
+/// The embedded paths U1–U10 of the paper's Fig. 11.
+const U: [&str; 10] = [
+    "/site/people/person",
+    "/site/people/person[@id = \"person10\"]",
+    "/site/people/person[profile/age > 20]",
+    "/site/regions//item",
+    "/site//description",
+    "/site/closed_auctions/closed_auction/annotation/description/parlist/listitem/parlist/listitem/text/emph/keyword",
+    "/site/open_auctions/open_auction[bidder/increase>5]/annotation[happiness < 20]/description//text",
+    "/site/open_auctions/open_auction[initial > 10 and reserve >50]/bidder",
+    "/site/regions//item[location =\"United States\"]",
+    "/site//open_auctions/open_auction[not(@id =\"open_auction2\")]/bidder[increase > 10]",
+];
+
+fn insert_into(path: &str) -> String {
+    format!(r#"transform copy $a := doc("xmark") modify do insert <m/> into $a{path} return $a"#)
+}
+
+/// Registers `path` as a view, EXPLAINs it, then asserts that the
+/// method EXPLAIN names is the one a VIEW and a TRANSFORM of the same
+/// query report, and that it is `expected`.
+fn assert_explain_matches(server: &Server, doc: &str, name: &str, path: &str, expected: Method) {
+    let query = insert_into(path);
+    server.register_view(name, &query).unwrap();
+    let explanation = server.explain(name, doc).unwrap();
+    assert_eq!(explanation.links.len(), 1, "{name}: {explanation}");
     let predicted = explanation.links[0].method;
-    assert!(!explanation.links[0].fixed, "memory chain is adaptive");
-    // The warmed candidate carries both kinds of evidence.
-    let chosen_evidence = explanation.links[0]
-        .candidates
-        .iter()
-        .find(|c| c.method == predicted)
-        .expect("predicted method is among the candidates");
-    assert!(chosen_evidence.ewma.is_some(), "no EWMA after warming");
-    assert!(
-        chosen_evidence.histogram.is_some(),
-        "no histogram after warming"
-    );
-    let resp = server
+    assert_eq!(predicted, expected, "{name} ({path}): {explanation}");
+    let view = server
         .handle(&Request::View {
-            view: "public".into(),
-            doc: "db".into(),
+            view: name.into(),
+            doc: doc.into(),
+        })
+        .unwrap();
+    assert_eq!(view.method, Some(predicted), "VIEW {name} ({path})");
+    let transform = server
+        .handle(&Request::Transform {
+            doc: doc.into(),
+            query,
         })
         .unwrap();
     assert_eq!(
-        resp.method,
+        transform.method,
         Some(predicted),
-        "EXPLAIN predicted {predicted} but the planner picked {:?}",
-        resp.method
+        "TRANSFORM {name} ({path})"
     );
-    // EXPLAIN itself never perturbs the plan: asking again agrees.
+}
+
+#[test]
+fn explain_predicts_the_method_the_planner_then_picks() {
+    // A cold server: the method is fixed when a transform compiles, so
+    // EXPLAIN must agree with the first VIEW and TRANSFORM, unwarmed.
+    let xml = xust::xmark::generate_string(xust::xmark::XmarkConfig::new(0.002).with_seed(3));
+    let server = Server::builder().threads(1).build();
+    server.load_doc_str("xmark", &xml).unwrap();
+    for (i, path) in U.iter().enumerate() {
+        assert_explain_matches(
+            &server,
+            "xmark",
+            &format!("u{}", i + 1),
+            path,
+            Method::TopDown,
+        );
+    }
+    // A qualifier with a `//` step is the one shape sent to TD-BU.
+    assert_explain_matches(
+        &server,
+        "xmark",
+        "deepq",
+        "//*[.//keyword]",
+        Method::TwoPass,
+    );
+    let explanation = server.explain("deepq", "xmark").unwrap().to_string();
+    assert!(explanation.contains("(qualifier with //)"), "{explanation}");
+    assert!(server
+        .explain("u1", "xmark")
+        .unwrap()
+        .to_string()
+        .contains("(default)"));
+
+    // A file-backed document streams, whatever the path's shape.
+    let path = std::env::temp_dir().join(format!("xust_explain_{}.xml", std::process::id()));
+    std::fs::write(&path, &xml).unwrap();
+    server.load_doc_file("xmark_file", &path).unwrap();
+    for (name, p) in [("f_u3", U[2]), ("f_deepq", "//*[.//keyword]")] {
+        assert_explain_matches(&server, "xmark_file", name, p, Method::TwoPassSax);
+    }
+    std::fs::remove_file(&path).ok();
+
+    // EXPLAIN executes nothing and never perturbs the plan: asking
+    // again agrees, and the method counters did not move.
+    let before = server.stats().per_method;
     assert_eq!(
-        server.explain("public", "db").unwrap().links[0].method,
-        predicted
+        server.explain("deepq", "xmark").unwrap().links[0].method,
+        Method::TwoPass
     );
+    assert_eq!(server.stats().per_method, before);
+}
+
+#[test]
+fn explain_and_view_agree_on_dead_views() {
+    const XML: &str = "<db><part><price>9</price></part></db>";
+    let server = Server::builder().threads(1).build();
+    server.load_doc_str("db", XML).unwrap();
+    server
+        .register_view(
+            "deadv",
+            r#"transform copy $a := doc("db") modify do delete $a/db[label() = nope]//part return $a"#,
+        )
+        .unwrap();
+    let explanation = server.explain("deadv", "db").unwrap();
+    let view = server
+        .handle(&Request::View {
+            view: "deadv".into(),
+            doc: "db".into(),
+        })
+        .unwrap();
+    // VIEW serves the base document and evaluates nothing; EXPLAIN
+    // says exactly that, with no planned link and no cache probe.
+    assert_eq!(view.body, XML);
+    assert_eq!(view.method, None);
+    assert!(explanation.dead);
+    assert!(explanation.links.is_empty(), "{explanation}");
+    assert_eq!(explanation.result_cached, None);
+    let text = explanation.to_string();
+    assert!(text.contains("dead (serves the base document)"), "{text}");
+    assert!(!text.contains("link 0"), "{text}");
+    // A live view of the same document still plans a link.
+    server
+        .register_view(
+            "livev",
+            r#"transform copy $a := doc("db") modify do delete $a/db/part return $a"#,
+        )
+        .unwrap();
+    let live = server.explain("livev", "db").unwrap();
+    assert!(!live.dead);
+    assert_eq!(live.links.len(), 1);
 }

@@ -1,19 +1,21 @@
-//! Planner correctness property: whatever method the adaptive planner
-//! picks — including as its latency model warms up and its exploration
-//! turns kick in — the served result must be byte-identical to the
-//! NAIVE reference evaluation on random XMark documents.
+//! Method-rule correctness property: whichever method a compiled
+//! transform is fixed to — GENTOP by default, TD-BU when a qualifier
+//! has a `//` step, twoPassSAX for file-backed documents — the served
+//! result must be byte-identical to the NAIVE reference evaluation on
+//! random XMark documents.
 
 use proptest::prelude::*;
 
-use xust::core::{evaluate, Method, TransformQuery};
+use xust::core::{evaluate, method_for, Method, TransformQuery};
 use xust::serve::{Request, Server};
 use xust::tree::Document;
 use xust::xmark::{generate, XmarkConfig};
 use xust::xpath::parse_path;
 
 /// Workload-shaped paths over the XMark schema (subset of Fig. 11 plus
-/// shape variants: no qualifier, qualifier, descendant, wildcard).
-const PATHS: [&str; 8] = [
+/// shape variants: no qualifier, qualifier, descendant, wildcard, and
+/// qualifiers with a `//` step — the TD-BU side of the method rule).
+const PATHS: [&str; 10] = [
     "/site/people/person",
     "/site/people/person[profile/age > 20]",
     "/site/regions//item",
@@ -22,6 +24,8 @@ const PATHS: [&str; 8] = [
     "/site/open_auctions/open_auction[initial > 10]/bidder",
     "/site/*/person",
     "/site/closed_auctions/closed_auction/annotation",
+    "//*[.//keyword]",
+    "/site//item[.//text]/name",
 ];
 
 fn build_query(path: &str, op: u8) -> TransformQuery {
@@ -54,10 +58,10 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 20, ..ProptestConfig::default() })]
 
     /// Random XMark document (factor × seed), random workload path and
-    /// update kind: the server's planner-chosen execution must be
-    /// byte-identical to `Method::Naive`, on the first (cold) request
-    /// and on warmed-up repeats where the latency feedback and the
-    /// exploration schedule may have moved the choice.
+    /// update kind: the server's execution, with the method the rule
+    /// fixed at compile time, must be byte-identical to `Method::Naive`
+    /// — on the cold request and on a repeat served from the prepared
+    /// cache.
     #[test]
     fn planner_choice_is_byte_identical_to_naive(
         factor in prop::sample::select(vec![0.001f64, 0.002, 0.003]),
@@ -68,6 +72,10 @@ proptest! {
         let doc = generate(XmarkConfig::new(factor).with_seed(seed));
         let q = build_query(PATHS[path_idx], op);
         let reference = evaluate(&doc, &q, Method::Naive).unwrap().serialize();
+        // Sanity: the syntax round-trip really produced the same query.
+        let parsed = xust::core::parse_transform(&transform_syntax(PATHS[path_idx], op)).unwrap();
+        prop_assert_eq!(parsed.path.to_string(), q.path.to_string());
+        let expected = method_for(&q.path);
 
         let server = Server::builder().threads(1).build();
         server.load_doc("xmark", doc);
@@ -75,58 +83,20 @@ proptest! {
             doc: "xmark".into(),
             query: transform_syntax(PATHS[path_idx], op),
         };
-        let mut seen_methods = Vec::new();
-        for round in 0..6 {
+        for round in 0..2 {
             let resp = server.handle(&request).unwrap();
             prop_assert_eq!(
                 &resp.body,
                 &reference,
-                "round {} chose {:?} for {} (op {})",
+                "round {} ran {:?} for {} (op {})",
                 round,
                 resp.method,
                 PATHS[path_idx],
                 op
             );
-            if let Some(m) = resp.method {
-                if !seen_methods.contains(&m) {
-                    seen_methods.push(m);
-                }
-            }
-        }
-        // Sanity: the syntax round-trip really produced the same query.
-        let parsed = xust::core::parse_transform(&transform_syntax(PATHS[path_idx], op)).unwrap();
-        prop_assert_eq!(parsed.path.to_string(), q.path.to_string());
-        // The planner only ever picks real candidates.
-        for m in seen_methods {
-            prop_assert!(m != Method::NaiveXQuery, "NaiveXQuery is not a serving candidate");
+            prop_assert_eq!(resp.method, Some(expected));
         }
     }
-}
-
-#[test]
-fn feedback_converges_on_the_observed_fastest_method() {
-    use std::time::Duration;
-    use xust::core::QueryCost;
-    use xust::serve::{AdaptivePlanner, DocShape, PlannerConfig};
-
-    let planner = AdaptivePlanner::new(PlannerConfig {
-        explore_every: 0,
-        ..PlannerConfig::default()
-    });
-    let cost = QueryCost::of_path(&parse_path("//item[location = 'x']").unwrap());
-    let shape = DocShape::InMemory { nodes: 50_000 };
-    // Feed synthetic latencies: TopDown fast, TwoPass slow.
-    for _ in 0..10 {
-        planner.record(Method::TwoPass, shape, Duration::from_millis(80));
-        planner.record(Method::TopDown, shape, Duration::from_millis(8));
-    }
-    assert_eq!(planner.choose(&cost, shape), Method::TopDown);
-    // Reverse the evidence; the EWMA must eventually flip the choice.
-    for _ in 0..40 {
-        planner.record(Method::TwoPass, shape, Duration::from_millis(2));
-        planner.record(Method::TopDown, shape, Duration::from_millis(90));
-    }
-    assert_eq!(planner.choose(&cost, shape), Method::TwoPass);
 }
 
 #[test]
@@ -157,4 +127,48 @@ fn streamed_file_requests_match_naive_too() {
     let reference = evaluate(&doc, &parsed, Method::Naive).unwrap().serialize();
     assert_eq!(resp.body, reference);
     std::fs::remove_file(&path).ok();
+}
+
+/// The shared batch sweep checks qualifiers natively, like GENTOP, so
+/// views the rule sends to TD-BU (a qualifier with a `//` step) keep
+/// their private pass in a batch and report TD-BU, while their GENTOP
+/// neighbours still share one sweep.
+#[test]
+fn batched_views_keep_their_compiled_method() {
+    const XML: &str =
+        "<db><p0><x>1</x></p0><p1><x>2</x></p1><p2><x>3</x></p2><p3><x>4</x></p3></db>";
+    let server = Server::builder().threads(2).shards(1).build();
+    server.load_doc_str("db", XML).unwrap();
+    let mut views = Vec::new();
+    for i in 0..4 {
+        let flat =
+            format!(r#"transform copy $a := doc("db") modify do delete $a/db/p{i} return $a"#);
+        let deep = format!(
+            r#"transform copy $a := doc("db") modify do delete $a/db/*[.//x = "{}"] return $a"#,
+            i + 1
+        );
+        views.push((format!("flat{i}"), flat, Method::TopDown));
+        views.push((format!("deep{i}"), deep, Method::TwoPass));
+    }
+    for (name, text, _) in &views {
+        server.register_view(name, text).unwrap();
+    }
+    let requests: Vec<Request> = views
+        .iter()
+        .map(|(name, _, _)| Request::View {
+            view: name.clone(),
+            doc: "db".into(),
+        })
+        .collect();
+    let base = Document::parse(XML).unwrap();
+    for (r, (name, text, method)) in server.execute_batch(requests).into_iter().zip(&views) {
+        let resp = r.expect("view serves");
+        let parsed = xust::core::parse_transform(text).unwrap();
+        let expected = evaluate(&base, &parsed, Method::Naive).unwrap().serialize();
+        assert_eq!(resp.body, expected, "batched {name} diverged");
+        assert_eq!(resp.method, Some(*method), "{name}");
+    }
+    let snap = server.stats();
+    assert_eq!(snap.shared_passes, 1, "the GENTOP views share one sweep");
+    assert_eq!(snap.shared_pass_views, 4);
 }
