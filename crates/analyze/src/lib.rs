@@ -5,7 +5,7 @@
 //! document. That is the point: the verdicts are computed once, when a
 //! view is registered (or a transform prepared), and then consumed on
 //! every hot-path decision without re-deriving anything per request or
-//! per write. Four analyses:
+//! per write. Three analyses:
 //!
 //! 1. **Qualifier constant folding** ([`fold_qualifier`],
 //!    [`analyze_path`]) — a three-valued evaluation of qualifiers
@@ -25,22 +25,14 @@
 //!    the subset side's). Mutually contained paths with identical
 //!    update effects make two views interchangeable, so they can share
 //!    one result-cache entry family.
-//! 4. **Static update–view commutation** ([`link_footprint`],
-//!    [`classify_update`], [`statically_commutes`]) — doc-independent
-//!    upper bounds on the dynamic footprints the write path otherwise
-//!    derives per write. When the bounds are disjoint the dynamic
-//!    three-way relevance test is *provably* going to pass for any
-//!    document state, so cache maintenance can retain the entry on an
-//!    O(1) table lookup.
 //!
-//! Soundness contract (checked by `tests/static_analysis.rs` in the
-//! facade crate): every static verdict must be *at most as permissive*
-//! as the dynamic machinery it short-circuits. A bound that cannot be
-//! established is `None` (unbounded), never guessed.
+//! Soundness contract: every verdict is *conservative* — a dead view
+//! selects nothing on any document, and equivalent views serve
+//! identical bytes on every document. A fact that cannot be established
+//! syntactically is answered "unknown", never guessed.
 
-use xust_automata::{FilteringNfa, LabelSet, SelState, SelectingNfa, StateId};
-use xust_core::{update_alphabet, value_alphabet_into, UpdateOp};
-use xust_intern::{intern, Sym};
+use xust_automata::{FilteringNfa, SelState, SelectingNfa, StateId};
+use xust_core::UpdateOp;
 use xust_xpath::{Path, QPath, Qualifier, Step, StepKind};
 
 mod sim;
@@ -347,204 +339,6 @@ pub fn views_equivalent(a: &[(&Path, &UpdateOp)], b: &[(&Path, &UpdateOp)]) -> b
             .all(|((pa, oa), (pb, ob))| ops_equivalent(oa, ob) && paths_equivalent(pa, pb))
 }
 
-/// A doc-independent upper bound on a dynamic label set: `Some(ls)`
-/// promises the dynamic set is always ⊆ `ls`; `None` means no static
-/// bound exists (the dynamic set depends on document content).
-pub type Bound = Option<LabelSet>;
-
-fn union_bounds(a: Bound, b: &Bound) -> Bound {
-    match (a, b) {
-        (Some(mut a), Some(b)) => {
-            a.union_with(b);
-            Some(a)
-        }
-        _ => None,
-    }
-}
-
-/// Doc-independent bounds on the [`xust_core::delta::TouchedLabels`]
-/// footprint a view materialization records. `structural` bounds the
-/// labels its updates add/remove/rename; `valued` bounds the
-/// ancestor-or-self labels of its targets.
-#[derive(Debug, Clone, Default)]
-pub struct StaticFootprint {
-    /// Upper bound on the recorded `structural` set, if one exists.
-    pub structural: Bound,
-    /// Upper bound on the recorded `valued` set, if one exists.
-    pub valued: Bound,
-}
-
-impl StaticFootprint {
-    /// Both sides bounded — the view can participate in static
-    /// commutation at all.
-    pub fn is_bounded(&self) -> bool {
-        self.structural.is_some() && self.valued.is_some()
-    }
-
-    /// Folds another link's footprint in (chains union link by link;
-    /// an unbounded link poisons the whole view).
-    pub fn union_with(&mut self, other: &StaticFootprint) {
-        self.structural = union_bounds(self.structural.take(), &other.structural);
-        self.valued = union_bounds(self.valued.take(), &other.valued);
-    }
-}
-
-/// The labels of `path`'s steps when — and only when — every step is a
-/// plain label test. Child-axis-only selection pins the whole
-/// root-to-target chain to the step labels, which is what makes the
-/// ancestor-or-self (`valued`) side of a footprint statically bounded.
-/// Any `*` or `//` step lets document-chosen labels onto the chain:
-/// unbounded.
-fn anchored_step_labels(path: &Path) -> Bound {
-    if path.is_empty() {
-        // ε selects the context node — its label is the document's
-        // root, not the path's, so nothing is pinned.
-        return None;
-    }
-    let mut out = LabelSet::new();
-    for step in &path.steps {
-        match &step.kind {
-            StepKind::Label(l) => out.insert(intern(l)),
-            StepKind::Wildcard | StepKind::Descendant => return None,
-        }
-    }
-    Some(out)
-}
-
-/// The target label of `path` when its final step is a plain label test
-/// (whatever happens earlier in the path — `//x` still only ever
-/// selects `x` nodes).
-fn final_step_label(path: &Path) -> Option<Sym> {
-    match path.steps.last().map(|s| &s.kind) {
-        Some(StepKind::Label(l)) => Some(intern(l)),
-        _ => None,
-    }
-}
-
-/// The static footprint bound of one rule `(path, op)`, mirroring what
-/// `TouchedLabels::record` does dynamically:
-///
-/// * **insert** — records ancestor-or-self labels (`valued`) plus the
-///   fragment's labels (`structural`). Bounded when the path is fully
-///   anchored; the fragment is a constant.
-/// * **rename** — records only the target's old label plus the new name
-///   (`structural`); `valued` is untouched (a label is not text).
-///   Bounded whenever the *final* step is a label test.
-/// * **delete/replace** — records the whole removed subtree, whose
-///   labels are document content: never bounded.
-pub fn link_footprint(path: &Path, op: &UpdateOp) -> StaticFootprint {
-    match op {
-        UpdateOp::Insert { elem, .. } => {
-            let mut frag = LabelSet::new();
-            xust_core::fragment_labels_into(elem, &mut frag);
-            StaticFootprint {
-                structural: Some(frag),
-                valued: anchored_step_labels(path),
-            }
-        }
-        UpdateOp::Rename { name } => StaticFootprint {
-            structural: final_step_label(path).map(|old| {
-                let mut s = LabelSet::new();
-                s.insert(old);
-                s.insert(*name);
-                s
-            }),
-            valued: Some(LabelSet::new()),
-        },
-        UpdateOp::Delete | UpdateOp::Replace { .. } => StaticFootprint::default(),
-    }
-}
-
-/// The footprint bound of a whole view body (union over links/rules).
-pub fn view_footprint<'a>(
-    rules: impl Iterator<Item = (&'a Path, &'a UpdateOp)>,
-) -> StaticFootprint {
-    let mut out = StaticFootprint {
-        structural: Some(LabelSet::new()),
-        valued: Some(LabelSet::new()),
-    };
-    for (path, op) in rules {
-        out.union_with(&link_footprint(path, op));
-    }
-    out
-}
-
-/// The update side of the static commutation test, classified once per
-/// update *shape* (query text) and reused for every write of that
-/// shape against every view.
-#[derive(Debug, Clone)]
-pub struct UpdateClass {
-    /// Upper bound on the write's dynamic delta (the flattened
-    /// [`xust_core::delta::TouchedLabels`] of its application), if one
-    /// exists. The bound mirrors [`link_footprint`]'s case analysis on
-    /// the *update's* own rules.
-    pub delta: Bound,
-    /// The update's static alphabet — identical to what the write path
-    /// derives (`update_alphabet` per rule, unioned).
-    pub alphabet: LabelSet,
-    /// The update's value-sensitive alphabet — identical to the write
-    /// path's `value_alphabet_into` union.
-    pub values: LabelSet,
-}
-
-/// Classifies one update shape. O(Σ|pᵢ|); called once per distinct
-/// update text, memoized by the server.
-pub fn classify_update<'a>(rules: impl Iterator<Item = (&'a Path, &'a UpdateOp)>) -> UpdateClass {
-    let mut delta: Bound = Some(LabelSet::new());
-    let mut alphabet = LabelSet::new();
-    let mut values = LabelSet::new();
-    for (path, op) in rules {
-        alphabet.union_with(&update_alphabet(path, op));
-        value_alphabet_into(path, &mut values);
-        let rule_delta: Bound = match op {
-            UpdateOp::Insert { elem, .. } => anchored_step_labels(path).map(|mut d| {
-                xust_core::fragment_labels_into(elem, &mut d);
-                d
-            }),
-            UpdateOp::Rename { name } => final_step_label(path).map(|old| {
-                let mut d = LabelSet::new();
-                d.insert(old);
-                d.insert(*name);
-                d
-            }),
-            // A delete/replace's delta contains the removed subtree:
-            // document content, unbounded.
-            UpdateOp::Delete | UpdateOp::Replace { .. } => None,
-        };
-        delta = union_bounds(delta, &rule_delta);
-    }
-    UpdateClass {
-        delta,
-        alphabet,
-        values,
-    }
-}
-
-/// The static commutation verdict for one (view, update-shape) pair:
-/// true means the dynamic three-way relevance test is guaranteed to
-/// retain the view's cached result for **any** document state — the
-/// write's delta bound misses the view's alphabet, and the update's
-/// alphabets miss the view's footprint bounds. Any unbounded side
-/// answers false (fall back to the dynamic test; never guess).
-pub fn statically_commutes(
-    view_alphabet: &LabelSet,
-    view_footprint: &StaticFootprint,
-    update: &UpdateClass,
-) -> bool {
-    match (
-        &update.delta,
-        &view_footprint.structural,
-        &view_footprint.valued,
-    ) {
-        (Some(delta), Some(structural), Some(valued)) => {
-            !delta.intersects(view_alphabet)
-                && !update.alphabet.intersects(structural)
-                && !update.values.intersects(valued)
-        }
-        _ => false,
-    }
-}
-
 /// The full registration-time report for one view, assembled by
 /// [`analyze_view`] and surfaced through the `ANALYZE` protocol verb.
 #[derive(Debug, Clone, Default)]
@@ -563,8 +357,6 @@ pub struct ViewAnalysis {
     pub filt_states: usize,
     /// Dead filtering-NFA states.
     pub filt_dead: usize,
-    /// The view's static commutation footprint bound.
-    pub footprint: StaticFootprint,
     /// Wall-clock cost of the analysis, in microseconds.
     pub micros: u64,
 }
@@ -573,12 +365,9 @@ pub struct ViewAnalysis {
 /// O(Σ|pᵢ|) — automata are linear in the path. The caller stamps
 /// `micros` (this function is timing-agnostic so it stays trivially
 /// testable).
-pub fn analyze_view<'a>(
-    rules: impl Iterator<Item = (&'a Path, &'a UpdateOp)> + Clone,
-) -> ViewAnalysis {
+pub fn analyze_view<'a>(rules: impl Iterator<Item = (&'a Path, &'a UpdateOp)>) -> ViewAnalysis {
     let mut out = ViewAnalysis {
         dead: true,
-        footprint: view_footprint(rules.clone()),
         ..ViewAnalysis::default()
     };
     let mut any = false;
@@ -607,6 +396,7 @@ pub fn analyze_view<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xust_intern::intern;
     use xust_xpath::parse_path;
 
     fn p(s: &str) -> Path {
@@ -733,90 +523,6 @@ mod tests {
                 pos: Default::default()
             },
         ));
-    }
-
-    #[test]
-    fn insert_footprint_bounded_only_on_anchored_paths() {
-        let frag = xust_tree::Document::parse("<note><by>x</by></note>").unwrap();
-        let op = UpdateOp::Insert {
-            elem: frag,
-            pos: Default::default(),
-        };
-        let f = link_footprint(&p("site/people"), &op);
-        let s = f.structural.as_ref().unwrap();
-        assert!(s.contains(intern("note")) && s.contains(intern("by")));
-        let v = f.valued.as_ref().unwrap();
-        assert!(v.contains(intern("site")) && v.contains(intern("people")));
-        assert!(!v.contains(intern("note")));
-
-        assert!(link_footprint(&p("site//people"), &op).valued.is_none());
-        assert!(link_footprint(&p("*/people"), &op).valued.is_none());
-    }
-
-    #[test]
-    fn rename_footprint_needs_only_a_final_label() {
-        let op = UpdateOp::Rename {
-            name: intern("item"),
-        };
-        let f = link_footprint(&p("site//part"), &op);
-        let s = f.structural.as_ref().unwrap();
-        assert!(s.contains(intern("part")) && s.contains(intern("item")));
-        assert!(f.valued.as_ref().unwrap().is_empty());
-        assert!(link_footprint(&p("site//*"), &op).structural.is_none());
-    }
-
-    #[test]
-    fn destructive_ops_are_unbounded() {
-        let f = link_footprint(&p("site/people"), &UpdateOp::Delete);
-        assert!(f.structural.is_none() && f.valued.is_none());
-        assert!(!f.is_bounded());
-    }
-
-    #[test]
-    fn disjoint_anchored_insert_commutes_with_disjoint_view() {
-        let frag = xust_tree::Document::parse("<mark/>").unwrap();
-        let upd = [(
-            p("site/offers"),
-            UpdateOp::Insert {
-                elem: frag,
-                pos: Default::default(),
-            },
-        )];
-        let u = classify_update(upd.iter().map(|(p, o)| (p, o)));
-        // A `//`-anchored rename view: its alphabet is just
-        // {part, member} — no shared anchor with the update's chain.
-        let view_path = p("//part");
-        let view_op = UpdateOp::Rename {
-            name: intern("member"),
-        };
-        let foot = link_footprint(&view_path, &view_op);
-        let alphabet = update_alphabet(&view_path, &view_op);
-        assert!(statically_commutes(&alphabet, &foot, &u));
-        // The same view anchored at the update's own prefix shares
-        // `site`: the delta bound hits the alphabet — no verdict.
-        let anchored = p("site/part");
-        let alphabet = update_alphabet(&anchored, &view_op);
-        let foot = link_footprint(&anchored, &view_op);
-        assert!(!statically_commutes(&alphabet, &foot, &u));
-
-        // Same update against a view that *reads* site/offers: delta
-        // bound intersects the alphabet — no static verdict.
-        let touching = p("site/offers");
-        let alphabet = update_alphabet(&touching, &view_op);
-        let foot = link_footprint(&touching, &view_op);
-        assert!(!statically_commutes(&alphabet, &foot, &u));
-    }
-
-    #[test]
-    fn unbounded_updates_never_commute_statically() {
-        let upd = [(p("site/offers"), UpdateOp::Delete)];
-        let u = classify_update(upd.iter().map(|(p, o)| (p, o)));
-        assert!(u.delta.is_none());
-        let foot = StaticFootprint {
-            structural: Some(LabelSet::new()),
-            valued: Some(LabelSet::new()),
-        };
-        assert!(!statically_commutes(&LabelSet::new(), &foot, &u));
     }
 
     #[test]

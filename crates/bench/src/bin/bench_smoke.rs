@@ -54,16 +54,6 @@ struct MultiViewRow {
     ratio: f64,
 }
 
-struct StaticRow {
-    workload: String,
-    requests_per_sec: f64,
-    /// Fraction of retain decisions resolved by the precomputed
-    /// update–view commutation table (no dynamic three-way test ran).
-    static_share: f64,
-    /// Slowest per-view registration-time analysis in the run.
-    max_analysis_micros: u64,
-}
-
 struct PipelinedRow {
     /// Requests in flight before the client reads a reply.
     depth: usize,
@@ -109,22 +99,11 @@ const NEIGHBOUR_HIT_MARGIN: f64 = 0.99;
 /// not a lost factorisation.
 const MULTI_VIEW_MARGIN: f64 = 0.5;
 
-/// Minimum fraction of retain decisions the `static_maintain`
-/// workload must resolve via the registration-time commutation table.
-/// Like the neighbour hit rate this is counter arithmetic, not timing:
-/// three of every four hot writes are the anchored insert (statically
-/// clear against every registered rename view), the fourth is the
-/// unanchored inverse delete (deletes never classify, so the dynamic
-/// test resolves it), giving exactly 0.75. The gate asks for ≥ 0.5 —
-/// a third of the static hits would have to vanish before it trips,
-/// so a failure is a classifier or table regression, never jitter.
-const STATIC_SHARE_MARGIN: f64 = 0.5;
-
 /// Budget for the slowest per-view registration-time analysis, in
-/// microseconds: satisfiability + footprint extraction must add < 1 ms
-/// per view to `VIEW REGISTER`. Measured cost is a few microseconds —
-/// the NFAs are already built for evaluation, analysis only walks
-/// them — so the budget is two orders of magnitude of headroom.
+/// microseconds: folding, liveness and containment must add < 1 ms per
+/// view to `VIEW REGISTER`. Measured cost is a few microseconds — the
+/// NFAs are already built for evaluation, analysis only walks them — so
+/// the budget is two orders of magnitude of headroom.
 const ANALYSIS_MICROS_BUDGET: u64 = 1_000;
 
 /// Minimum pipelined-over-blocking speedup `--check` accepts: depth-16
@@ -251,16 +230,10 @@ fn main() {
         );
     }
 
-    // ---- static maintenance: precomputed commutation vs dynamic ----
-    let static_row = run_static_maintain(factor, if quick { 8 } else { 24 });
-    println!("\n## static_maintain (hot writer, disjoint rename views, precomputed commutation)");
-    println!(
-        "{:<22} {:>10.1} req/s  static_share={:.3}  max_analysis_micros={}",
-        static_row.workload,
-        static_row.requests_per_sec,
-        static_row.static_share,
-        static_row.max_analysis_micros
-    );
+    // ---- registration-time analysis cost ----
+    let max_analysis_micros = max_analysis_micros();
+    println!("\n## analysis (registration-time static analysis, four rename views)");
+    println!("max_analysis_micros={max_analysis_micros}");
 
     // ---- observability overhead: instrumented vs --no-trace ----
     // Longer passes than serve_mixed: the effect measured here is ~1%
@@ -306,7 +279,6 @@ fn main() {
             &serve_rows,
             &pipe_row,
             &mixed_rows,
-            &static_row,
             &obs_row,
             &wal_row,
             &ivm_row,
@@ -336,19 +308,10 @@ fn main() {
             );
             failed = true;
         }
-        if static_row.static_share < STATIC_SHARE_MARGIN {
+        if max_analysis_micros >= ANALYSIS_MICROS_BUDGET {
             eprintln!(
-                "FAIL {}: static share {:.3} below margin {STATIC_SHARE_MARGIN} — retain \
-                 decisions are falling back to the dynamic three-way commutation test",
-                static_row.workload, static_row.static_share
-            );
-            failed = true;
-        }
-        if static_row.max_analysis_micros >= ANALYSIS_MICROS_BUDGET {
-            eprintln!(
-                "FAIL {}: slowest registration-time analysis {}µs at or above the \
-                 {ANALYSIS_MICROS_BUDGET}µs budget",
-                static_row.workload, static_row.max_analysis_micros
+                "FAIL analysis: slowest registration-time analysis {max_analysis_micros}µs \
+                 at or above the {ANALYSIS_MICROS_BUDGET}µs budget"
             );
             failed = true;
         }
@@ -396,8 +359,7 @@ fn main() {
             "\ncheck passed: shared multi_view sweep under {MULTI_VIEW_MARGIN}× the private passes, \
              pipelined serving at or above {PIPELINED_SPEEDUP_MARGIN}× the blocking U1 row, \
              neighbour hit rate at or above {NEIGHBOUR_HIT_MARGIN}, \
-             static retain share at or above {STATIC_SHARE_MARGIN} with per-view analysis \
-             under {ANALYSIS_MICROS_BUDGET}µs, \
+             per-view analysis under {ANALYSIS_MICROS_BUDGET}µs, \
              observability overhead within {OBS_OVERHEAD_MARGIN}%, \
              WAL overhead within {WAL_OVERHEAD_MARGIN}%, \
              patched maintenance under {IVM_PATCH_MARGIN}× a full recompute"
@@ -521,24 +483,10 @@ fn mixed_pass(w: &MixedWorkload, rounds: usize) -> (usize, f64) {
     (requests, t.elapsed().as_secs_f64())
 }
 
-/// Drives the static-maintenance workload: the hot-writer shape of
-/// `serve_mixed`, but every registered view is a rename whose analyzed
-/// write footprint is disjoint from the hot writes — the layout the
-/// registration-time commutation table exists for. Three of every
-/// four writes are the anchored insert (statically clear: the cached
-/// view entries are retained without running the dynamic three-way
-/// test), the fourth is the unanchored inverse delete (deletes never
-/// classify, so it exercises the dynamic fallback and restores the
-/// document to its starting size). Reports throughput, the
-/// counter-verified static share of retain decisions, and the slowest
-/// per-view registration-time analysis cost.
-fn run_static_maintain(factor: f64, rounds: usize) -> StaticRow {
-    assert!(
-        rounds.is_multiple_of(4),
-        "rounds cycle insert,insert,insert,delete to keep the hot document a fixed size"
-    );
-    let server = Server::builder().threads(4).shards(1).build();
-    server.load_doc("hot", xmark_doc(factor / 2.0));
+/// The slowest registration-time analysis, in microseconds, over four
+/// descendant rename views — the `ANALYZE` report's `analysis_micros`.
+fn max_analysis_micros() -> u64 {
+    let server = Server::builder().threads(1).build();
     let views = [
         ("kw", "keyword", "kw2"),
         ("em", "emph", "em2"),
@@ -550,52 +498,16 @@ fn run_static_maintain(factor: f64, rounds: usize) -> StaticRow {
             .register_view(
                 name,
                 &format!(
-                    // The link must name the written document: the
-                    // registration-time commutation table only covers
-                    // views registered against the doc being written.
                     r#"transform copy $a := doc("hot") modify do rename $a//{from} as {to} return $a"#
                 ),
             )
             .expect("rename view registers");
     }
-    let max_analysis_micros = views
+    views
         .iter()
         .map(|(name, _, _)| server.analyze(name).expect("view analyzes").micros)
         .max()
-        .expect("at least one view registered");
-    for (name, _, _) in views {
-        server
-            .handle(&Request::View {
-                view: name.into(),
-                doc: "hot".into(),
-            })
-            .expect("warm-up view serves");
-    }
-    let insert = r#"transform copy $a := doc("hot") modify do insert <xust-mark><t>w</t></xust-mark> into $a/site return $a"#;
-    let delete = r#"transform copy $a := doc("hot") modify do delete $a//xust-mark return $a"#;
-    let before = server.stats();
-    let mut requests = 0usize;
-    let t = Instant::now();
-    for round in 0..rounds {
-        let update = if round % 4 == 3 { delete } else { insert };
-        server.update_doc("hot", update).expect("hot write applies");
-        requests += 1;
-    }
-    let elapsed = t.elapsed().as_secs_f64();
-    let stats = server.stats();
-    let retained = stats.delta_retained - before.delta_retained;
-    let statics = stats.static_retained - before.static_retained;
-    assert_eq!(
-        retained as usize,
-        rounds * views.len(),
-        "every warmed view entry must be retained on every hot write"
-    );
-    StaticRow {
-        workload: "hot_writer_static_views".into(),
-        requests_per_sec: requests as f64 / elapsed,
-        static_share: statics as f64 / retained as f64,
-        max_analysis_micros,
-    }
+        .expect("at least one view registered")
 }
 
 /// Drives the pipelined front end the way a batching client would:
@@ -946,7 +858,6 @@ fn render_json(
     serve: &[ServeRow],
     pipe: &PipelinedRow,
     mixed: &[MixedRow],
-    stat: &StaticRow,
     obs: &ObsRow,
     wal: &WalRow,
     ivm: &IvmPatchRow,
@@ -986,10 +897,6 @@ fn render_json(
         ));
     }
     s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"static_maintain\": {{\"workload\": \"{}\", \"requests_per_sec\": {:.1}, \"static_share\": {:.3}, \"max_analysis_micros\": {}}},\n",
-        stat.workload, stat.requests_per_sec, stat.static_share, stat.max_analysis_micros
-    ));
     s.push_str(&format!(
         "  \"obs_overhead\": {{\"workload\": \"{}\", \"instrumented_rps\": {:.1}, \"no_trace_rps\": {:.1}, \"overhead_pct\": {:.2}}},\n",
         obs.workload, obs.instrumented_rps, obs.no_trace_rps, obs.overhead_pct

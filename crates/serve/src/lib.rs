@@ -113,7 +113,7 @@ pub use xust_core::{LabelSet, Method};
 // Re-exported so callers can consume the registration-time static
 // analysis ([`Server::analyze`], [`ViewDef::analysis`]) without
 // depending on xust-analyze directly.
-pub use xust_analyze::{StaticFootprint, UpdateClass, ViewAnalysis};
+pub use xust_analyze::ViewAnalysis;
 
 #[cfg(test)]
 mod tests {

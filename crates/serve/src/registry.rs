@@ -39,7 +39,7 @@ pub struct ViewDef {
     pub body: ViewBody,
     /// Concrete syntax the view was registered from (for introspection).
     pub sources: Vec<String>,
-    /// Static label footprint of the whole body (union over links/rules)
+    /// Static label alphabet of the whole body (union over links/rules)
     /// — the view side of the write-path relevance test.
     pub alphabet: LabelSet,
     /// Registration generation (strictly increasing across the
@@ -48,8 +48,7 @@ pub struct ViewDef {
     /// re-registration, even if it lands in the cache after the purge.
     pub generation: u64,
     /// The registration-time static analysis report: dead-view verdict,
-    /// NFA liveness, qualifier folds, and the commutation footprint the
-    /// write path consults per update shape.
+    /// NFA liveness, and qualifier folds.
     pub analysis: ViewAnalysis,
     /// Result-cache family key. Normally the view's own name; when
     /// registration proves this view equivalent to an already-registered
@@ -341,13 +340,6 @@ impl ViewRegistry {
             .any(|v| &*v.cache_key == key)
     }
 
-    /// Registration events so far — moves exactly when a definition is
-    /// installed, so memoized per-update commutation tables key their
-    /// validity on it.
-    pub fn watermark(&self) -> u64 {
-        self.generations.load(Ordering::Relaxed) // relaxed: staleness check only; a late read just rebuilds a table
-    }
-
     /// Registration-time compilations performed so far.
     pub fn compiles(&self) -> u64 {
         self.compiles.load(Ordering::Relaxed) // relaxed: monotone counter, read only by STATS
@@ -499,20 +491,6 @@ mod tests {
 
         let live = r.register("live", DEL).unwrap();
         assert!(!live.analysis.dead);
-        assert!(live.analysis.footprint.structural.is_none());
-    }
-
-    #[test]
-    fn rename_views_have_bounded_footprints() {
-        let r = ViewRegistry::new();
-        let def = r.register("ren", REN).unwrap();
-        assert!(def.analysis.footprint.is_bounded());
-        assert!(def
-            .analysis
-            .footprint
-            .valued
-            .as_ref()
-            .is_some_and(|v| v.is_empty()));
     }
 
     #[test]

@@ -25,10 +25,8 @@
 use std::collections::HashMap;
 use std::path::{Path as FsPath, PathBuf};
 use std::sync::mpsc::Receiver;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
-
-use xust_analyze::{classify_update, statically_commutes};
 
 use xust_compose::{compose, compose_two_pass_sax, ComposedQuery, UserQuery};
 use xust_core::delta::{RenameMapping, TouchedLabels};
@@ -262,7 +260,6 @@ impl ServerBuilder {
                 stats: ServeStats::default(),
                 obs: Obs::new(self.tracing),
                 pool: ThreadPool::new(self.threads),
-                commute: Mutex::new(CommuteState::default()),
                 wal: RwLock::new(None),
                 patching: self.patching,
             }),
@@ -279,13 +276,6 @@ struct Inner {
     stats: ServeStats,
     obs: Obs,
     pool: ThreadPool,
-    /// Memoized static commutation tables, one per update shape (query
-    /// text): `cache_key → cache_generation` for every view the
-    /// registration-time analysis proved the shape commutes with. Keyed
-    /// additionally by `(doc, registry watermark)` — any registration
-    /// invalidates every table (cheap: they rebuild in one pass over
-    /// the registry on the next write of each shape).
-    commute: Mutex<CommuteState>,
     /// The attached write-ahead log, if any ([`Server::attach_wal`]).
     /// Every applied write appends its record *inside* the owning
     /// shard's write lock, so log order equals install order.
@@ -299,14 +289,6 @@ struct Inner {
     patching: bool,
 }
 
-#[derive(Default)]
-struct CommuteState {
-    /// Registry watermark the cached tables were built against.
-    watermark: u64,
-    /// `(doc, update text) → static-clear table`.
-    tables: HashMap<(String, String), Arc<HashMap<String, u64>>>,
-}
-
 /// True when a batched `VIEW` of `def` may ride a shared factorised
 /// pass: a live single-link view whose compiled method is GENTOP. The
 /// shared sweep checks qualifiers natively, like GENTOP, so a view the
@@ -314,11 +296,6 @@ struct CommuteState {
 fn rides_shared_pass(def: &ViewDef) -> bool {
     !def.analysis.dead && def.single().is_some_and(|l| l.method() == Method::TopDown)
 }
-
-/// Memoized tables kept per server before the map is cleared wholesale
-/// — a bound on memory under update-text churn, far above any sane
-/// number of distinct prepared shapes.
-const COMMUTE_TABLE_CAP: usize = 512;
 
 /// See the module docs.
 #[derive(Clone)]
@@ -1018,17 +995,11 @@ impl Server {
         for (path, _) in &ops {
             value_alphabet_into(path, &mut update_vals);
         }
-        // Which views this update shape provably commutes with —
-        // decided from registration-time analysis alone, memoized per
-        // (doc, update text). Resolved before the shard write lock is
-        // taken so maintenance answers those entries with a table
-        // lookup instead of the dynamic three-way intersection test.
-        let static_clear = self.static_clear_for(doc, update, &ops, &update_alpha, &update_vals);
         // The patch fate's view table — single-rule writes only
         // (multi-rule writes interleave arena slot recycling between
         // rules, so node ids captured for one rule can be stale by the
-        // next). Resolved before the shard write lock, like the static
-        // table: maintenance under the lock only does hash lookups.
+        // next). Resolved before the shard write lock: maintenance
+        // under the lock only does hash lookups.
         let patching = self.inner.patching && ops.len() == 1;
         let mut patch_views: HashMap<String, PatchView> = HashMap::new();
         if patching {
@@ -1146,7 +1117,6 @@ impl Server {
                     &update_vals,
                     &delta,
                     &renames,
-                    &static_clear,
                     patching.then_some(&ctx),
                     &mut |cached| {
                         let mut replay = DeltaReplay::default();
@@ -1200,9 +1170,6 @@ impl Server {
                 StoreUpdateError::Apply(e) => e,
             })?;
         stats.update_requests.fetch_add(1, Relaxed); // relaxed: monotone counter; no data published
-        stats
-            .static_retained
-            .fetch_add(outcome.static_retained.len() as u64, Relaxed); // relaxed: monotone counter; no data published
         for v in &outcome.retained {
             stats.record_view_delta(v, true);
         }
@@ -1228,86 +1195,17 @@ impl Server {
         }
         Ok(Response {
             body: format!(
-                "updated {doc} epoch={} version={} targets={targets} retained={} recomputed={} static={} patched={}",
+                "updated {doc} epoch={} version={} targets={targets} retained={} recomputed={} patched={}",
                 stamp.epoch,
                 stamp.version,
                 outcome.retained.len(),
                 outcome.recomputed.len(),
-                outcome.static_retained.len(),
                 outcome.patched.len()
             ),
             method: None,
             micros: 0,
             cache_hit: hit,
         })
-    }
-
-    /// The static-clear table for one write: `cache_key →
-    /// cache_generation` for every cache family this update shape
-    /// *provably* commutes with, decided entirely from
-    /// registration-time analysis ([`xust_analyze::statically_commutes`]).
-    /// Memoized per `(doc, update text)` and invalidated wholesale by
-    /// any registration (the registry watermark moves). The table may
-    /// be a registration behind the registry — harmless: maintenance
-    /// cross-checks each claimed generation against the resident
-    /// entry's, so a stale claim degrades to the dynamic test.
-    fn static_clear_for(
-        &self,
-        doc: &str,
-        update: &str,
-        ops: &[(Path, UpdateOp)],
-        update_alpha: &LabelSet,
-        update_vals: &LabelSet,
-    ) -> Arc<HashMap<String, u64>> {
-        let wm = self.inner.registry.watermark();
-        let key = (doc.to_string(), update.to_string());
-        {
-            let mut state = self.inner.commute.lock().expect("commute lock poisoned");
-            if state.watermark < wm {
-                state.watermark = wm;
-                state.tables.clear();
-            } else if state.watermark == wm {
-                if let Some(table) = state.tables.get(&key) {
-                    return Arc::clone(table);
-                }
-            }
-        }
-        // Build outside the mutex: classification is O(update size) and
-        // the scan takes the registry read lock, which must not nest
-        // inside the commute guard.
-        let mut class = classify_update(ops.iter().map(|(p, o)| (p, o)));
-        // The commutation test must argue about exactly the alphabets
-        // the dynamic relevance test will use for this write, which for
-        // prepared single updates come from the compiled transform.
-        class.alphabet = update_alpha.clone();
-        class.values = update_vals.clone();
-        let mut table: HashMap<String, u64> = HashMap::new();
-        let mut blocked: Vec<Arc<str>> = Vec::new();
-        for def in self.inner.registry.defs() {
-            if def.doc_name != doc || def.analysis.dead {
-                continue;
-            }
-            if statically_commutes(&def.alphabet, &def.analysis.footprint, &class) {
-                table.insert(def.cache_key.to_string(), def.cache_generation);
-            } else {
-                // A cache family is cleared only if *every* member
-                // commutes — equivalent definitions can still differ
-                // syntactically (and so in their static bounds).
-                blocked.push(Arc::clone(&def.cache_key));
-            }
-        }
-        for key in blocked {
-            table.remove(&*key);
-        }
-        let table = Arc::new(table);
-        let mut state = self.inner.commute.lock().expect("commute lock poisoned");
-        if state.watermark == wm {
-            if state.tables.len() >= COMMUTE_TABLE_CAP {
-                state.tables.clear();
-            }
-            state.tables.insert(key, Arc::clone(&table));
-        }
-        table
     }
 
     /// Recomputes every single-link view a write just invalidated in
@@ -1591,7 +1489,6 @@ impl Server {
         line("stream_sessions_total", snap.stream_sessions);
         line("update_requests_total", snap.update_requests);
         line("delta_retained_total", snap.delta_retained);
-        line("static_retained_total", snap.static_retained);
         line("patched_total", snap.delta_patched);
         line("patched_fragments_total", snap.patched_fragments);
         line("delta_recomputed_total", snap.delta_recomputed);
@@ -1709,8 +1606,7 @@ impl Server {
     /// Reports — **without executing anything** — the registration-time
     /// static analysis of a view: satisfiability (dead views select
     /// nothing, ever), per-automaton dead-state counts, folded
-    /// qualifier terms, the static alphabet, the write-footprint
-    /// bounds the commutation test argues about, and the containment
+    /// qualifier terms, the static alphabet, and the containment
     /// (cache-family) class the definition landed in.
     pub fn analyze(&self, view: &str) -> Result<Analysis, ServeError> {
         let result = self.analyze_inner(view);
@@ -1751,8 +1647,6 @@ impl Server {
             filt_dead: a.filt_dead,
             folded_qualifiers: a.folded_qualifiers,
             alphabet: labels(&def.alphabet),
-            structural: a.footprint.structural.as_ref().map(&labels),
-            valued: a.footprint.valued.as_ref().map(&labels),
             cache_key: def.cache_key.to_string(),
             cache_generation: def.cache_generation,
             family_members,
@@ -2453,10 +2347,6 @@ pub struct Analysis {
     pub folded_qualifiers: usize,
     /// The view's static alphabet, sorted (`*` marks a wildcard).
     pub alphabet: Vec<String>,
-    /// Structural write-footprint bound, sorted; `None` = unbounded.
-    pub structural: Option<Vec<String>>,
-    /// Valued write-footprint bound, sorted; `None` = unbounded.
-    pub valued: Option<Vec<String>>,
     /// The cache family (containment class) the definition landed in.
     pub cache_key: String,
     /// The family's cache generation.
@@ -2469,10 +2359,6 @@ pub struct Analysis {
 
 impl std::fmt::Display for Analysis {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let bound = |b: &Option<Vec<String>>| match b {
-            Some(labels) => format!("{{{}}}", labels.join(",")),
-            None => "unbounded".to_string(),
-        };
         write!(
             f,
             "analyze view={} doc={} dead={} rules={} analysis_micros={}",
@@ -2488,12 +2374,6 @@ impl std::fmt::Display for Analysis {
             self.folded_qualifiers
         )?;
         write!(f, "\nalphabet: {{{}}}", self.alphabet.join(","))?;
-        write!(
-            f,
-            "\nfootprint: structural={} valued={}",
-            bound(&self.structural),
-            bound(&self.valued)
-        )?;
         write!(
             f,
             "\nfamily: key={} generation={} members={}",

@@ -213,10 +213,6 @@ pub struct ServeStats {
     /// View-result cache entries retained across a write (delta applied
     /// in place, no recomputation).
     pub delta_retained: AtomicU64,
-    /// Of the retained entries, how many were answered by the static
-    /// commutation table alone (no dynamic three-way intersection test
-    /// ran). Always `<= delta_retained`.
-    pub static_retained: AtomicU64,
     /// View-result cache entries that failed the relevance test but
     /// were **patched in place** through their provenance maps instead
     /// of dropped (the third maintenance fate).
@@ -501,7 +497,6 @@ impl ServeStats {
             stream_sessions: ld(&self.stream_sessions),
             update_requests: ld(&self.update_requests),
             delta_retained: ld(&self.delta_retained),
-            static_retained: ld(&self.static_retained),
             delta_patched: ld(&self.delta_patched),
             patched_fragments: ld(&self.patched_fragments),
             delta_recomputed: ld(&self.delta_recomputed),
@@ -622,9 +617,6 @@ pub struct StatsSnapshot {
     /// View-result cache entries retained across writes (maintained in
     /// place — the delta-aware win).
     pub delta_retained: u64,
-    /// Of those, entries retained on the static commutation table's
-    /// verdict alone (registration-time analysis; no dynamic test ran).
-    pub static_retained: u64,
     /// Entries that failed the relevance test but were patched in place
     /// through their provenance maps (the third maintenance fate).
     pub delta_patched: u64,
@@ -696,10 +688,9 @@ impl std::fmt::Display for StatsSnapshot {
         )?;
         writeln!(
             f,
-            "updates: accepted={} delta_retained={} static_retained={} delta_patched={} patched_fragments={} delta_recomputed={} result_hits={} result_misses={}",
+            "updates: accepted={} delta_retained={} delta_patched={} patched_fragments={} delta_recomputed={} result_hits={} result_misses={}",
             self.update_requests,
             self.delta_retained,
-            self.static_retained,
             self.delta_patched,
             self.patched_fragments,
             self.delta_recomputed,
@@ -787,9 +778,9 @@ impl StatsSnapshot {
              \"compiles\":{},\"compositions\":{},\"view_requests\":{},\"query_requests\":{},\
              \"transform_requests\":{},\"batches\":{},\"batch_items\":{},\"batch_steals\":{},\
              \"interned_labels\":{},\"stream_sessions\":{},\"update_requests\":{},\
-             \"delta_retained\":{},\"static_retained\":{},\"delta_patched\":{},\
-             \"patched_fragments\":{},\"delta_recomputed\":{},\"wal_recovered\":{},\
-             \"wal_truncations\":{},\"shared_passes\":{},\
+             \"delta_retained\":{},\"delta_patched\":{},\"patched_fragments\":{},\
+             \"delta_recomputed\":{},\"wal_recovered\":{},\"wal_truncations\":{},\
+             \"shared_passes\":{},\
              \"shared_pass_views\":{},\"result_hits\":{},\
              \"result_misses\":{},\"busy_micros\":{}",
             self.requests,
@@ -808,7 +799,6 @@ impl StatsSnapshot {
             self.stream_sessions,
             self.update_requests,
             self.delta_retained,
-            self.static_retained,
             self.delta_patched,
             self.patched_fragments,
             self.delta_recomputed,

@@ -172,12 +172,6 @@ struct Entry {
     frags: Option<FragmentTree>,
     /// LRU clock value of the last hit.
     last_use: u64,
-    /// Set once a retained rename remapped `view_touched`: the entry's
-    /// footprint has drifted from what the view *definition* statically
-    /// bounds, so registration-time commutation verdicts no longer
-    /// apply to it — it must take the dynamic relevance test until
-    /// replaced by a fresh materialization.
-    drifted: bool,
 }
 
 /// One document's slice of the cache: its own entry map behind its own
@@ -205,9 +199,6 @@ struct DocShardState {
 pub struct MaintainOutcome {
     /// Views whose entries were retained (delta applied in place).
     pub retained: Vec<String>,
-    /// The subset of `retained` resolved by the static commutation
-    /// table alone — the per-entry dynamic relevance test was skipped.
-    pub static_retained: Vec<String>,
     /// Views whose entries failed the relevance test but were patched
     /// in place through their provenance maps.
     pub patched: Vec<String>,
@@ -384,7 +375,6 @@ impl ViewResultCache {
             frags,
             version,
             last_use: self.next_tick(),
-            drifted: false,
         };
         // When eviction finds nothing removable (every candidate shard
         // locked, or counter drift under a concurrent purge), insert
@@ -494,20 +484,13 @@ impl ViewResultCache {
     /// writes can no longer cause this; only the written document's own
     /// history can).
     ///
-    /// `static_clear` maps cache keys to the view-definition generation
-    /// the registration-time analysis proved this update shape commutes
-    /// with (see `xust_analyze::statically_commutes`). A matching,
-    /// non-drifted entry is retained on that table lookup alone — the
-    /// three intersection tests are skipped — and reported in
-    /// [`MaintainOutcome::static_retained`] as well as `retained`.
-    ///
     /// `patch_ctx`, when present (single-rule writes only), enables two
     /// things: provenance *repair* on retained entries (collapse along
     /// site and replay chains instead of dropping the fragment tree),
     /// and the **patch** fate for entries that fail the relevance test.
-    /// Fates are tried in order static-retain → dynamic-retain → patch
-    /// → recompute: retention is strictly cheaper than patching, so a
-    /// provably commuting write never pays for localization.
+    /// Fates are tried in order retain → patch → recompute: retention
+    /// is strictly cheaper than patching, so a commuting write never
+    /// pays for localization.
     ///
     /// `apply_delta` now reports what it replayed (the result-side
     /// chains provenance repair needs); callers without provenance
@@ -522,7 +505,6 @@ impl ViewResultCache {
         update_values: &LabelSet,
         delta: &LabelSet,
         renames: &[RenameMapping],
-        static_clear: &HashMap<String, u64>,
         patch_ctx: Option<&PatchCtx<'_>>,
         apply_delta: &mut dyn FnMut(&mut Document) -> DeltaReplay,
     ) -> MaintainOutcome {
@@ -536,14 +518,6 @@ impl ViewResultCache {
         let mut state = shard.state.lock().expect("view cache shard poisoned");
         let mut dropped = 0usize;
         state.views.retain(|view, e| {
-            // Static fast path: the registration-time table already
-            // proved this (view, update-shape) pair commutes for any
-            // document state. Generation must match (the verdict is
-            // about the *current* definition) and the entry's footprint
-            // must not have drifted from the definition's static bound.
-            let static_ok = e.version == prev_version
-                && !e.drifted
-                && static_clear.get(view).is_some_and(|&g| g == e.generation);
             // All three directions of the relevance test must come back
             // disjoint (wildcards intersect everything non-empty — see
             // `LabelSet::intersects`): the delta vs what the view can
@@ -553,12 +527,11 @@ impl ViewResultCache {
             // the view perturbed. An empty delta means the update
             // matched nothing: the document is byte-identical, every
             // current entry rides along.
-            let retain = static_ok
-                || (e.version == prev_version
-                    && (delta.is_empty()
-                        || (!delta.intersects(&e.view_alphabet)
-                            && !update_alphabet.intersects(&e.view_touched.structural)
-                            && !update_values.intersects(&e.view_touched.valued))));
+            let retain = e.version == prev_version
+                && (delta.is_empty()
+                    || (!delta.intersects(&e.view_alphabet)
+                        && !update_alphabet.intersects(&e.view_touched.structural)
+                        && !update_values.intersects(&e.view_touched.valued)));
             if retain {
                 if !delta.is_empty() {
                     let replay = apply_delta(&mut e.doc);
@@ -599,16 +572,9 @@ impl ViewResultCache {
                     // the invariant local.)
                     if !renames.is_empty() {
                         e.view_touched.apply_renames(renames);
-                        // The footprint may now exceed the definition's
-                        // static bound: no static verdict applies to
-                        // this entry any more.
-                        e.drifted = true;
                     }
                 }
                 e.version = new_version;
-                if static_ok {
-                    outcome.static_retained.push(view.clone());
-                }
                 outcome.retained.push(view.clone());
                 true
             } else if let Some(po) = patch_ctx.and_then(|ctx| try_patch(e, view, ctx, prev_version))
@@ -799,7 +765,6 @@ mod tests {
             &LabelSet::new(),
             &labels(&["hot", "new"]),
             &[],
-            &HashMap::new(),
             None,
             &mut |doc| {
                 applied += 1;
@@ -854,7 +819,6 @@ mod tests {
             &LabelSet::new(),
             &labels(&["zzz"]),
             &[],
-            &HashMap::new(),
             None,
             &mut |_| panic!("nothing should be maintained"),
         );
@@ -893,7 +857,6 @@ mod tests {
             &LabelSet::new(),
             &LabelSet::new(),
             &[],
-            &HashMap::new(),
             None,
             &mut |_| panic!("no delta to apply"),
         );
@@ -927,7 +890,6 @@ mod tests {
             &LabelSet::new(),
             &labels(&["p"]),
             &[],
-            &HashMap::new(),
             None,
             &mut |_| DeltaReplay::default(),
         );
@@ -963,7 +925,6 @@ mod tests {
             &LabelSet::new(),
             &labels(&["p"]),
             &[],
-            &HashMap::new(),
             None,
             &mut |_| DeltaReplay::default(),
         );
@@ -977,7 +938,6 @@ mod tests {
             &labels(&["b"]),
             &labels(&["p"]),
             &[],
-            &HashMap::new(),
             None,
             &mut |_| DeltaReplay::default(),
         );
@@ -1025,7 +985,6 @@ mod tests {
             &LabelSet::new(),
             &labels(&["a", "b", "w", "u"]),
             &renames,
-            &HashMap::new(),
             None,
             &mut |_| DeltaReplay::default(),
         );
@@ -1040,7 +999,6 @@ mod tests {
             &labels(&["u"]),
             &labels(&["m", "b", "u", "r"]),
             &[],
-            &HashMap::new(),
             None,
             &mut |_| DeltaReplay::default(),
         );
@@ -1049,95 +1007,6 @@ mod tests {
             vec!["v".to_string()],
             "the renamed ancestor's new label must stay in the footprint"
         );
-    }
-
-    #[test]
-    fn static_clear_skips_the_dynamic_test() {
-        let c = ViewResultCache::new(8);
-        // An entry whose alphabet *intersects* the delta: the dynamic
-        // test would drop it, so a retain proves the static table was
-        // consulted instead. (The caller vouches for soundness; the
-        // cache only honours the lookup.)
-        entry(&c, "v", "d", 1, &["hot"]);
-        let mut clear = HashMap::new();
-        clear.insert("v".to_string(), 1u64);
-        let out = c.maintain(
-            "d",
-            1,
-            2,
-            &labels(&["hot"]),
-            &LabelSet::new(),
-            &labels(&["hot"]),
-            &[],
-            &clear,
-            None,
-            &mut |_| DeltaReplay::default(),
-        );
-        assert_eq!(out.retained, vec!["v".to_string()]);
-        assert_eq!(out.static_retained, vec!["v".to_string()]);
-        // A generation mismatch disables the verdict: the table speaks
-        // about a *different* definition of the view.
-        entry(&c, "w", "d", 2, &["hot"]);
-        let mut stale = HashMap::new();
-        stale.insert("w".to_string(), 9u64);
-        let out = c.maintain(
-            "d",
-            2,
-            3,
-            &labels(&["hot"]),
-            &LabelSet::new(),
-            &labels(&["hot"]),
-            &[],
-            &stale,
-            None,
-            &mut |_| DeltaReplay::default(),
-        );
-        assert!(out.static_retained.is_empty());
-        let mut recomputed = out.recomputed.clone();
-        recomputed.sort();
-        assert_eq!(recomputed, vec!["v".to_string(), "w".to_string()]);
-    }
-
-    #[test]
-    fn drifted_entries_fall_back_to_the_dynamic_test() {
-        let c = ViewResultCache::new(8);
-        entry(&c, "v", "d", 1, &["x"]);
-        // A retained rename remaps the stored footprint → drift.
-        let renames = [RenameMapping {
-            old: labels(&["r"]),
-            new: intern("r2"),
-        }];
-        let out = c.maintain(
-            "d",
-            1,
-            2,
-            &labels(&["r", "r2"]),
-            &LabelSet::new(),
-            &labels(&["r", "r2"]),
-            &renames,
-            &HashMap::new(),
-            None,
-            &mut |_| DeltaReplay::default(),
-        );
-        assert_eq!(out.retained, vec!["v".to_string()]);
-        // The static table now claims this pair commutes, but the entry
-        // has drifted: it must take (and here fail) the dynamic test.
-        let mut clear = HashMap::new();
-        clear.insert("v".to_string(), 1u64);
-        let out = c.maintain(
-            "d",
-            2,
-            3,
-            &labels(&["x"]),
-            &LabelSet::new(),
-            &labels(&["x"]),
-            &[],
-            &clear,
-            None,
-            &mut |_| DeltaReplay::default(),
-        );
-        assert!(out.static_retained.is_empty());
-        assert_eq!(out.recomputed, vec!["v".to_string()]);
     }
 
     /// The third fate, at the cache level: an entry that *fails* the
@@ -1227,18 +1096,9 @@ mod tests {
             guard: &guard,
             views: &views,
         };
-        let out = c.maintain(
-            "d",
-            1,
-            2,
-            &ua,
-            &uv,
-            &delta,
-            &[],
-            &HashMap::new(),
-            Some(&ctx),
-            &mut |_| panic!("relevance must fail: this write changes the view"),
-        );
+        let out = c.maintain("d", 1, 2, &ua, &uv, &delta, &[], Some(&ctx), &mut |_| {
+            panic!("relevance must fail: this write changes the view")
+        });
         assert_eq!(out.patched, vec!["v".to_string()]);
         assert!(out.retained.is_empty() && out.recomputed.is_empty());
         assert!(out.patched_fragments >= 1);
@@ -1318,7 +1178,6 @@ mod tests {
             &LabelSet::new(),
             &labels(&["x"]),
             &[],
-            &HashMap::new(),
             None,
             &mut |_| DeltaReplay::default(),
         );
@@ -1357,7 +1216,6 @@ mod tests {
                     &LabelSet::new(),
                     &labels(&["q"]),
                     &[],
-                    &HashMap::new(),
                     None,
                     &mut |_| {
                         entered_tx.send(()).unwrap();
@@ -1401,7 +1259,6 @@ mod tests {
                     &LabelSet::new(),
                     &labels(&["q"]),
                     &[],
-                    &HashMap::new(),
                     None,
                     &mut |_| {
                         entered_tx.send(()).unwrap();

@@ -103,8 +103,7 @@ write verbs act as barriers, so a read after an UPDATE sees the update):
   ANALYZE <view>                  the registration-time static analysis of
                                   <view>: satisfiability (dead views), NFA
                                   dead states, folded qualifiers, alphabet,
-                                  footprint bounds, and its cache family —
-                                  without executing
+                                  and its cache family — without executing
   STATS | LIST | QUIT
 
 durability: --wal <path> attaches a write-ahead log — every applied
@@ -771,7 +770,7 @@ mod tests {
             text.contains("analyze view=public doc=db dead=false rules=1"),
             "analyze missing: {text}"
         );
-        assert!(text.contains("footprint: structural="));
+        assert!(text.contains("alphabet: {"), "{text}");
         assert!(text.contains("family: key=public"));
         assert!(text.contains("ERR unknown view 'missing'"));
         assert!(text.contains("ERR ANALYZE <view>"));

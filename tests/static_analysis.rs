@@ -1,6 +1,7 @@
-//! Soundness harness for the registration-time static analysis.
+//! Soundness harness for the registration-time static analysis and the
+//! write-path relevance test built on its alphabets.
 //!
-//! Two layers, mirroring the two promises `xust-analyze` makes:
+//! Two layers:
 //!
 //! 1. **Alphabet soundness** — `collect_alphabet` (the union of the
 //!    selecting and filtering NFA alphabets) must contain every label
@@ -9,27 +10,22 @@
 //!    collected alphabet commutes with evaluation. If evaluation ever
 //!    consulted a label the alphabet misses, some relabeling would
 //!    change which nodes are selected and the two sides would diverge.
-//!    This is the load-bearing premise of both the dynamic relevance
-//!    test and the static commutation table built on top of it.
+//!    This is the load-bearing premise of the dynamic relevance test.
 //!
-//! 2. **Static-vs-dynamic agreement** — for fuzzed writes against live
-//!    cached views, the static commutation verdict must agree with, or
-//!    be strictly weaker than, the dynamic three-way test: a view the
-//!    static table clears is never recomputed, the write's reported
-//!    `static=` count never exceeds what the external re-derivation of
-//!    [`statically_commutes`] allows, and every served view body stays
+//! 2. **Maintenance partition** — for fuzzed writes against live
+//!    cached views, every warmed entry takes exactly one fate (retained,
+//!    patched, or recomputed), and every served view body stays
 //!    byte-identical to a full recompute. Deterministic companions pin
-//!    dead-view rejection and equivalence-class cache sharing.
+//!    dynamic retention across renames, dead-view rejection, and
+//!    equivalence-class cache sharing.
 
 mod common;
 
 use proptest::prelude::*;
 
-use xust::analyze::{analyze_view, classify_update, statically_commutes};
 use xust::automata::{FilteringNfa, LabelSet, SelectingNfa};
 use xust::core::{
-    apply_update, evaluate, intern, parse_multi_transform, parse_transform, update_alphabet,
-    value_alphabet_into, CompiledTransform, Method, TransformQuery,
+    apply_update, evaluate, intern, parse_multi_transform, parse_transform, Method, TransformQuery,
 };
 use xust::serve::{Request, Server};
 use xust::tree::Document;
@@ -174,12 +170,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Layer 2: static-vs-dynamic differential fuzzer
+// Layer 2: maintenance-partition differential fuzzer
 // ---------------------------------------------------------------------
 
-/// Registered views: two rename views (statically bounded footprints —
-/// the shapes the commutation table can clear) and two delete views
-/// (unbounded footprints — static must always defer to dynamic).
+/// Registered views: two descendant renames and two deletes, one of
+/// them qualified.
 const VIEWS: [(&str, &str); 4] = [
     (
         "member",
@@ -199,10 +194,10 @@ const VIEWS: [(&str, &str); 4] = [
     ),
 ];
 
-/// The fuzz pool: anchored spike inserts (statically clearable),
-/// descendant inserts (bounded fragment, unbounded anchor), spike and
-/// XMark renames, and deletes (never statically clearable).
-const WRITE_POOL: [&str; 8] = [
+/// The fuzz pool: anchored and descendant spike inserts, an insert of a
+/// label a view renames, spike and XMark renames, deletes, and a
+/// two-rule write (never patched, so an entry it touches is recomputed).
+const WRITE_POOL: [&str; 9] = [
     r#"insert <sx><t>v</t></sx> into $a/site/spike-zone/sb"#,
     r#"insert <sx/> into $a//spike-zone/sb"#,
     r#"insert <keyword>k</keyword> into $a/site/spike-zone/sa"#,
@@ -211,6 +206,7 @@ const WRITE_POOL: [&str; 8] = [
     r#"rename $a//part as unit"#,
     r#"delete $a//sc[. = '10']"#,
     r#"delete $a//zap"#,
+    r#"(delete $a//sc[. = '10'], rename $a//zap as zz)"#,
 ];
 
 fn update_text(body: &str) -> String {
@@ -231,59 +227,24 @@ fn apply_to_reference(reference: &mut Document, update: &str) {
     }
 }
 
-/// Re-derives the static commutation verdict for one registered view
-/// against one update text, from first principles — the same inputs the
-/// server feeds [`statically_commutes`], recomputed independently.
-fn external_verdict(view_link: &str, update: &str) -> bool {
-    let q = parse_transform(view_link).unwrap();
-    let rules = [(q.path.clone(), q.op.clone())];
-    let analysis = analyze_view(rules.iter().map(|(p, o)| (p, o)));
-    let alphabet = CompiledTransform::parse(view_link)
-        .unwrap()
-        .alphabet()
-        .clone();
-
-    let mq = parse_multi_transform(update).unwrap();
-    let mut class = classify_update(mq.updates.iter().map(|(p, o)| (p, o)));
-    let mut alpha = LabelSet::new();
-    let mut vals = LabelSet::new();
-    for (path, op) in &mq.updates {
-        alpha.union_with(&update_alphabet(path, op));
-        value_alphabet_into(path, &mut vals);
-    }
-    class.alphabet = alpha;
-    class.values = vals;
-    statically_commutes(&alphabet, &analysis.footprint, &class)
-}
-
-/// Pulls `retained=R recomputed=C static=S` out of an UPDATE body.
+/// Pulls `retained=R recomputed=C patched=P` out of an UPDATE body.
 fn parse_counts(body: &str) -> (u64, u64, u64) {
     let grab = |key: &str| -> u64 {
         let tail = &body[body.find(key).unwrap_or_else(|| panic!("{key} in {body}")) + key.len()..];
         tail.split_whitespace().next().unwrap().parse().unwrap()
     };
-    (grab("retained="), grab("recomputed="), grab("static="))
-}
-
-fn view_delta_map(server: &Server) -> std::collections::HashMap<String, (u64, u64)> {
-    server
-        .stats()
-        .view_delta
-        .iter()
-        .map(|(v, r, _p, c)| (v.clone(), (*r, *c)))
-        .collect()
+    (grab("retained="), grab("recomputed="), grab("patched="))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// For every fuzzed write: the static verdict is never more
-    /// permissive than the dynamic test (a statically-cleared view is
-    /// never recomputed, and the reported `static=` count is bounded by
-    /// the external re-derivation), and every served view stays
-    /// byte-identical to full recompute.
+    /// For every fuzzed write: each warmed entry takes exactly one fate
+    /// (`retained + patched + recomputed` is the warmed count, and the
+    /// STATS counters move by the reply's numbers), and every served
+    /// view stays byte-identical to full recompute.
     #[test]
-    fn static_verdicts_agree_with_or_defer_to_dynamic(
+    fn fuzzed_writes_partition_warmed_entries_and_match_recompute(
         seed in 0u64..16,
         picks in prop::collection::vec(0..WRITE_POOL.len(), 1..5),
     ) {
@@ -303,46 +264,25 @@ proptest! {
                     .body;
                 prop_assert_eq!(&served, &recompute_view(&reference, link));
             }
+            let warmed = server.view_results().len() as u64;
+            prop_assert_eq!(warmed, VIEWS.len() as u64, "one entry per view");
             let text = update_text(WRITE_POOL[pick]);
-            let verdicts: Vec<(&str, bool)> = VIEWS
-                .iter()
-                .map(|(name, link)| (*name, external_verdict(link, &text)))
-                .collect();
-            let before = view_delta_map(&server);
-            let static_before = server.stats().static_retained;
+            let before = server.stats();
 
             let resp = server.update_doc("xmark", &text).unwrap();
             apply_to_reference(&mut reference, &text);
 
-            let (retained, _recomputed, statics) = parse_counts(&resp.body);
-            let cleared = verdicts.iter().filter(|(_, v)| *v).count() as u64;
-            // Static never exceeds what the analysis itself allows, and
-            // every static retain is also a (dynamic-grade) retain.
-            prop_assert!(
-                statics <= cleared,
-                "round {}: write {:?} reported static={} but only {} views \
-                 statically commute", round, WRITE_POOL[pick], statics, cleared
-            );
-            prop_assert!(statics <= retained, "static is a subset of retained");
+            let (retained, recomputed, patched) = parse_counts(&resp.body);
             prop_assert_eq!(
-                server.stats().static_retained - static_before,
-                statics,
-                "the static_retained counter must track the response body"
+                retained + patched + recomputed,
+                warmed,
+                "round {}: write {:?} left entries without a fate: {}",
+                round, WRITE_POOL[pick], resp.body
             );
-            // Agreement: a statically-cleared view is never recomputed.
-            let after = view_delta_map(&server);
-            for (name, verdict) in &verdicts {
-                if !verdict { continue; }
-                let (_, c0) = before.get(*name).copied().unwrap_or((0, 0));
-                let (r1, c1) = after.get(*name).copied().unwrap_or((0, 0));
-                prop_assert_eq!(
-                    c1, c0,
-                    "round {}: view '{}' statically commutes with {:?} but was \
-                     recomputed (dynamic disagreed with static)",
-                    round, name, WRITE_POOL[pick]
-                );
-                prop_assert!(r1 > 0, "the cleared view's entry was retained");
-            }
+            let after = server.stats();
+            prop_assert_eq!(after.delta_retained - before.delta_retained, retained);
+            prop_assert_eq!(after.delta_patched - before.delta_patched, patched);
+            prop_assert_eq!(after.delta_recomputed - before.delta_recomputed, recomputed);
             // Served results stay byte-identical to full recompute.
             for (name, link) in VIEWS {
                 let served = server
@@ -364,11 +304,11 @@ proptest! {
 // Deterministic companions
 // ---------------------------------------------------------------------
 
-/// Anchored disjoint inserts resolve through the static table; a
-/// retained rename drifts the entries, after which static must stand
-/// down (conservatism) while dynamic retention still fires.
+/// Disjoint inserts and a disjoint rename are retained by the dynamic
+/// relevance test alone, including the insert after the rename, whose
+/// entries carry footprints remapped into the post-rename vocabulary.
 #[test]
-fn static_clear_fires_then_defers_after_drift() {
+fn disjoint_writes_stay_retained_across_a_rename() {
     let server = Server::builder().threads(1).shards(1).build();
     server.load_doc("xmark", spiked_xmark(3));
     server.register_view("member", VIEWS[0].1).unwrap();
@@ -383,35 +323,19 @@ fn static_clear_fires_then_defers_after_drift() {
     }
     let insert = update_text(r#"insert <sx/> into $a/site/spike-zone/sb"#);
     let rename = update_text(r#"rename $a//zap as zz"#);
-
-    // Fresh entries: the anchored insert is statically clear for both.
-    let resp = server.update_doc("xmark", &insert).unwrap();
-    assert_eq!(parse_counts(&resp.body), (2, 0, 2), "{}", resp.body);
-    // Inserts do not drift the maintained bodies: static fires again.
-    let resp = server.update_doc("xmark", &insert).unwrap();
-    assert_eq!(parse_counts(&resp.body), (2, 0, 2), "{}", resp.body);
-    // The rename is also statically clear — but applying it to the
-    // cached bodies marks them drifted.
-    let resp = server.update_doc("xmark", &rename).unwrap();
-    assert_eq!(parse_counts(&resp.body), (2, 0, 2), "{}", resp.body);
-    // Drifted entries: static stands down, dynamic still retains.
-    let resp = server.update_doc("xmark", &insert).unwrap();
-    assert_eq!(
-        parse_counts(&resp.body),
-        (2, 0, 0),
-        "drifted entries must fall back to the dynamic test: {}",
-        resp.body
-    );
+    for update in [&insert, &insert, &rename, &insert] {
+        let resp = server.update_doc("xmark", update).unwrap();
+        assert_eq!(parse_counts(&resp.body), (2, 0, 0), "{}", resp.body);
+    }
     let stats = server.stats();
     assert_eq!(stats.delta_retained, 8);
-    assert_eq!(stats.static_retained, 6);
     assert_eq!(stats.delta_recomputed, 0);
-    // The exposition surfaces report the split.
-    assert!(stats.to_string().contains("static_retained=6"));
+    // The exposition surfaces report the same count.
+    assert!(stats.to_string().contains("delta_retained=8"));
     let metrics = server.metrics();
     assert!(
-        metrics.contains("static_retained_total 6"),
-        "METRICS must carry the static counter: {metrics}"
+        metrics.contains("delta_retained_total 8"),
+        "METRICS must carry the retain counter: {metrics}"
     );
 }
 

@@ -1074,10 +1074,10 @@ fn patching_fires_on_localized_intersecting_writes() {
 /// Provenance survives retained writes: a spike-only rename is retained
 /// (the delta is disjoint from every view), which *repairs* the stored
 /// fragment trees instead of dropping them — collapsing the covering
-/// fragments on both the base and result sides — and marks the entries
-/// drifted. A later localized intersecting write must still take the
-/// patch fate through the repaired map, and serve bytes identical to
-/// recompute.
+/// fragments on both the base and result sides — and remaps their
+/// touched-label footprints into the new vocabulary. A later localized
+/// intersecting write must still take the patch fate through the
+/// repaired map, and serve bytes identical to recompute.
 #[test]
 fn patching_survives_retained_renames() {
     let base = spiked_xmark(5);
@@ -1094,7 +1094,7 @@ fn patching_survives_retained_renames() {
             .unwrap();
     }
     // Round 1: retained rename (spike vocabulary only). Every entry
-    // survives, with its provenance repaired, and is now drifted.
+    // survives, with its provenance repaired and its footprint remapped.
     let rename = r#"transform copy $a := doc("xmark") modify do rename $a//zap as rn return $a"#;
     let resp = server.update_doc("xmark", rename).unwrap();
     assert!(
