@@ -21,10 +21,10 @@ use std::io::Cursor;
 use std::time::Instant;
 
 use xust_bench::{
-    mixed_workload, mixed_workload_with, shared_view_queries, u_name, xmark_doc, MixedWorkload,
-    WORKLOAD,
+    insert_query, mixed_workload, mixed_workload_with, shared_view_queries, u_name, xmark_doc,
+    MixedWorkload, WORKLOAD,
 };
-use xust_core::{multi_view_with_stats, two_pass, TransformQuery};
+use xust_core::{multi_view_with_stats, two_pass, CompiledTransform, TransformQuery};
 use xust_serve::{serve_pipelined, PipelineOptions, Request, Server};
 use xust_tree::Document;
 
@@ -79,6 +79,24 @@ struct IvmPatchRow {
     /// patch / recompute write time; sublinear maintenance pays off
     /// below 1.0 and the `--check` gate demands ≤ [`IVM_PATCH_MARGIN`].
     ratio: f64,
+}
+
+struct TransformReplyRow {
+    /// Elements in the transformed document.
+    elements: usize,
+    /// U1–U10 mean of one streamed reply (`evaluate_into`).
+    streamed_ms: f64,
+    /// U1–U10 mean of the tree path it replaced (`evaluate` + `serialize`).
+    tree_ms: f64,
+    /// streamed / tree; the `--check` gate demands ≤ [`TRANSFORM_REPLY_MARGIN`].
+    ratio: f64,
+}
+
+struct SerializeRow {
+    /// Serialized document size.
+    bytes: usize,
+    /// Serialized bytes per second of the fastest pass, in MB/s.
+    mb_s: f64,
 }
 
 /// Minimum neighbour result-cache hit rate `--check` accepts for the
@@ -149,6 +167,16 @@ const OBS_OVERHEAD_MARGIN: f64 = 3.0;
 /// (e.g. every write spills past the span threshold), not jitter.
 const IVM_PATCH_MARGIN: f64 = 0.25;
 
+/// Maximum streamed-over-tree cost ratio `--check` accepts for the
+/// transform_reply row: writing a TRANSFORM reply straight out of the
+/// top-down pass must cost at most 0.6× evaluating into a result tree
+/// and serializing it. The measured ratio sits near 0.45: the streamed
+/// pass skips building, re-walking and dropping a whole result
+/// document, while both sides pay for the walk and the escaping.
+/// Outputs are asserted byte-identical before anything is timed, so a
+/// trip means the fused pass lost its edge.
+const TRANSFORM_REPLY_MARGIN: f64 = 0.6;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -178,6 +206,22 @@ fn main() {
         "{:<6} {:>12.2} {:>14.2} {:>8.3}",
         mv_row.views, mv_row.shared_ms, mv_row.single_sum_ms, mv_row.ratio
     );
+
+    // ---- TRANSFORM replies: streamed pass vs result tree + serialize ----
+    // Always the full-size document, like ivm_patch: the gate is stated
+    // against the 8K-element document.
+    let reply_doc = xmark_doc(0.005);
+    let reply_row = run_transform_reply(&reply_doc, if quick { 3 } else { 8 });
+    println!("\n## transform_reply (U1–U10 insert, mean per reply: streamed vs tree + serialize)");
+    println!(
+        "{:>10.3} ms streamed  {:>10.3} ms tree+serialize  ratio={:.3}  ({} elements)",
+        reply_row.streamed_ms, reply_row.tree_ms, reply_row.ratio, reply_row.elements
+    );
+
+    // ---- serializer throughput (absolute) ----
+    let ser_row = run_serialize(&reply_doc, if quick { 5 } else { 20 });
+    println!("\n## serialize_mb_s (whole-document serialization, fastest pass)");
+    println!("{:>10.1} MB/s  ({} bytes)", ser_row.mb_s, ser_row.bytes);
 
     // ---- served throughput through the full stack ----
     let server = Server::builder().threads(4).build();
@@ -282,6 +326,8 @@ fn main() {
             &obs_row,
             &wal_row,
             &ivm_row,
+            &reply_row,
+            &ser_row,
         );
         std::fs::write(&path, json).expect("baseline file written");
         println!("\nbaseline recorded to {path}");
@@ -352,6 +398,15 @@ fn main() {
             );
             failed = true;
         }
+        if reply_row.ratio > TRANSFORM_REPLY_MARGIN {
+            eprintln!(
+                "FAIL transform_reply: streamed reply {:.3}ms is {:.3}× the tree path's \
+                 {:.3}ms, above the {TRANSFORM_REPLY_MARGIN} margin — the fused top-down \
+                 pass no longer saves the result tree",
+                reply_row.streamed_ms, reply_row.ratio, reply_row.tree_ms
+            );
+            failed = true;
+        }
         if failed {
             std::process::exit(1);
         }
@@ -362,7 +417,8 @@ fn main() {
              per-view analysis under {ANALYSIS_MICROS_BUDGET}µs, \
              observability overhead within {OBS_OVERHEAD_MARGIN}%, \
              WAL overhead within {WAL_OVERHEAD_MARGIN}%, \
-             patched maintenance under {IVM_PATCH_MARGIN}× a full recompute"
+             patched maintenance under {IVM_PATCH_MARGIN}× a full recompute, \
+             streamed TRANSFORM replies under {TRANSFORM_REPLY_MARGIN}× the tree path"
         );
     }
 }
@@ -839,6 +895,74 @@ fn run_obs_overhead(factor: f64, rounds: usize) -> ObsRow {
     }
 }
 
+/// Times a TRANSFORM reply both ways over U1–U10 (Fig. 11 inserts, each
+/// with its compile-time method): `evaluate_into` writing the bytes
+/// straight out of the top-down pass, against `evaluate` building a
+/// result tree that `serialize` then walks. Bytes are asserted
+/// identical first. Per query, the fastest of `reps` order-alternated
+/// pass pairs counts; the row reports the means over the ten queries.
+fn run_transform_reply(doc: &Document, reps: usize) -> TransformReplyRow {
+    let (mut streamed, mut tree) = (0.0, 0.0);
+    for i in 0..WORKLOAD.len() {
+        let ct = CompiledTransform::compile(insert_query(i));
+        let method = ct.method();
+        let via_tree = || ct.evaluate(doc, method).expect("evaluates").serialize();
+        let via_stream = || {
+            let mut out = String::new();
+            ct.evaluate_into(doc, method, &mut out).expect("evaluates");
+            out
+        };
+        assert_eq!(
+            via_stream(),
+            via_tree(),
+            "streamed {} reply diverges from the tree path",
+            u_name(i)
+        );
+        let time = |f: &dyn Fn() -> String| {
+            let t = Instant::now();
+            std::hint::black_box(f().len());
+            t.elapsed().as_secs_f64()
+        };
+        let (mut best_s, mut best_t) = (f64::INFINITY, f64::INFINITY);
+        for r in 0..reps {
+            let (s, t) = if r % 2 == 0 {
+                let s = time(&via_stream);
+                (s, time(&via_tree))
+            } else {
+                let t = time(&via_tree);
+                (time(&via_stream), t)
+            };
+            best_s = best_s.min(s);
+            best_t = best_t.min(t);
+        }
+        streamed += best_s;
+        tree += best_t;
+    }
+    let n = WORKLOAD.len() as f64;
+    TransformReplyRow {
+        elements: element_count(doc),
+        streamed_ms: streamed / n * 1e3,
+        tree_ms: tree / n * 1e3,
+        ratio: streamed / tree,
+    }
+}
+
+/// Absolute serializer throughput: the fastest of `reps` whole-document
+/// `serialize` passes.
+fn run_serialize(doc: &Document, reps: usize) -> SerializeRow {
+    let bytes = doc.serialize().len();
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let t = Instant::now();
+        std::hint::black_box(doc.serialize().len());
+        best = best.min(t.elapsed().as_secs_f64());
+    }
+    SerializeRow {
+        bytes,
+        mb_s: bytes as f64 / best / 1e6,
+    }
+}
+
 /// Elements in `doc` (the size the per-element rows are stated against).
 fn element_count(doc: &Document) -> usize {
     doc.root().map_or(0, |root| {
@@ -861,6 +985,8 @@ fn render_json(
     obs: &ObsRow,
     wal: &WalRow,
     ivm: &IvmPatchRow,
+    reply: &TransformReplyRow,
+    ser: &SerializeRow,
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -906,8 +1032,16 @@ fn render_json(
         wal.workload, wal.wal_rps, wal.no_wal_rps, wal.overhead_pct
     ));
     s.push_str(&format!(
-        "  \"ivm_patch\": {{\"elements\": {}, \"patch_micros_per_write\": {:.1}, \"recompute_micros_per_write\": {:.1}, \"ratio\": {:.4}}}\n",
+        "  \"ivm_patch\": {{\"elements\": {}, \"patch_micros_per_write\": {:.1}, \"recompute_micros_per_write\": {:.1}, \"ratio\": {:.4}}},\n",
         ivm.elements, ivm.patch_micros_per_write, ivm.recompute_micros_per_write, ivm.ratio
+    ));
+    s.push_str(&format!(
+        "  \"transform_reply\": {{\"elements\": {}, \"streamed_ms\": {:.3}, \"tree_ms\": {:.3}, \"ratio\": {:.3}}},\n",
+        reply.elements, reply.streamed_ms, reply.tree_ms, reply.ratio
+    ));
+    s.push_str(&format!(
+        "  \"serialize_mb_s\": {{\"bytes\": {}, \"mb_s\": {:.1}}}\n",
+        ser.bytes, ser.mb_s
     ));
     s.push_str("}\n");
     s

@@ -45,7 +45,8 @@ use xust_automata::{SelectingNfa, StateSet};
 use xust_tree::{Document, NodeId, NodeKind};
 use xust_xpath::eval_qualifier;
 
-use crate::query::{InsertPos, TransformQuery, UpdateOp};
+use crate::query::{TransformQuery, UpdateOp};
+use crate::topdown::rec_into_tree;
 
 /// Upper bound on direct child fragments of one interior fragment: a
 /// node with more children than this stays a leaf (index size and
@@ -461,7 +462,7 @@ impl FragmentTree {
                 }
             }
         };
-        let produced = reeval(base, out, nfa, &q.op, src, &states, targets);
+        let produced = rec_into_tree(base, out, nfa, &q.op, src, &states, targets);
         for &pnode in &produced {
             match anchor {
                 Anchor::Before(a) => out.insert_before(a, pnode),
@@ -564,14 +565,18 @@ impl FragmentTree {
             }
             doc.write_end_tag_into(d, out);
         } else {
-            if self.frag(i).bytes.is_none() {
-                let mut b = String::new();
-                for d in self.frag(i).dst.clone() {
-                    b.push_str(&doc.serialize_subtree(d));
+            match &self.frag(i).bytes {
+                Some(b) => out.push_str(b),
+                None => {
+                    // Serialize straight onto `out`, then memoize that
+                    // span: one exact-size copy, no per-node temporaries.
+                    let start = out.len();
+                    for &d in &self.frag(i).dst {
+                        doc.serialize_into(d, out);
+                    }
+                    self.frag_mut(i).bytes = Some(out[start..].to_owned());
                 }
-                self.frag_mut(i).bytes = Some(b);
             }
-            out.push_str(self.frag(i).bytes.as_deref().expect("just memoized"));
         }
     }
 }
@@ -603,92 +608,6 @@ fn produced_count(s_c: &StateSet, nfa: &SelectingNfa, op: &UpdateOp) -> (usize, 
         _ => 1, // rename / into-inserts keep one node
     };
     (count, true)
-}
-
-/// Re-evaluates the view under base node `n` with pre-consumption
-/// states `s`, producing into `out` — a faithful replica of `topDown`'s
-/// `rec` (Fig. 3), including the empty-state-set wholesale-copy pruning
-/// and the sibling-insert wrapping. Selected base nodes are appended to
-/// `targets`.
-fn reeval(
-    base: &Document,
-    out: &mut Document,
-    nfa: &SelectingNfa,
-    op: &UpdateOp,
-    n: NodeId,
-    s: &StateSet,
-    targets: &mut Vec<NodeId>,
-) -> Vec<NodeId> {
-    let label = match base.kind(n) {
-        NodeKind::Text(t) => return vec![out.create_text(t.clone())],
-        NodeKind::Element { name, .. } => *name,
-    };
-    let s_next = nfa.next_states(s, label, |_, qual| eval_qualifier(base, n, qual));
-    if s_next.is_empty() {
-        return vec![out.deep_copy_from(base, n)];
-    }
-    let selected = s_next.contains(nfa.final_state);
-    if selected {
-        targets.push(n);
-        match op {
-            UpdateOp::Delete => return Vec::new(),
-            UpdateOp::Replace { elem } => {
-                return match elem.root() {
-                    Some(r) => vec![out.deep_copy_from(elem, r)],
-                    None => Vec::new(),
-                };
-            }
-            _ => {}
-        }
-    }
-    let name = match (selected, op) {
-        (true, UpdateOp::Rename { name }) => *name,
-        _ => label,
-    };
-    let node = out.create_element_with_attrs(name, base.attrs(n).to_vec());
-    if selected {
-        if let UpdateOp::Insert {
-            elem,
-            pos: InsertPos::FirstInto,
-        } = op
-        {
-            if let Some(r) = elem.root() {
-                let copy = out.deep_copy_from(elem, r);
-                out.append_child(node, copy);
-            }
-        }
-    }
-    let children: Vec<NodeId> = base.children(n).collect();
-    for c in children {
-        for p in reeval(base, out, nfa, op, c, &s_next, targets) {
-            out.append_child(node, p);
-        }
-    }
-    if selected {
-        if let UpdateOp::Insert {
-            elem,
-            pos: InsertPos::LastInto,
-        } = op
-        {
-            if let Some(r) = elem.root() {
-                let copy = out.deep_copy_from(elem, r);
-                out.append_child(node, copy);
-            }
-        }
-        if let UpdateOp::Insert { elem, pos } = op {
-            if pos.is_sibling() {
-                if let Some(r) = elem.root() {
-                    let copy = out.deep_copy_from(elem, r);
-                    return match pos {
-                        InsertPos::Before => vec![copy, node],
-                        InsertPos::After => vec![node, copy],
-                        _ => unreachable!("is_sibling() covers Before/After only"),
-                    };
-                }
-            }
-        }
-    }
-    vec![node]
 }
 
 /// Subtree node counts for every live node, indexed by arena slot.
@@ -725,7 +644,7 @@ fn region_sizes(base: &Document, src: NodeId) -> HashMap<NodeId, u32> {
 mod tests {
     use super::*;
     use crate::copy_update::apply_update;
-    use crate::query::parse_transform;
+    use crate::query::{parse_transform, InsertPos};
     use crate::topdown::top_down;
     use xust_xpath::eval_path_root;
 

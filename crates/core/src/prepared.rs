@@ -15,13 +15,13 @@ use xust_automata::{FilteringNfa, LabelSet, SelectingNfa};
 use xust_tree::Document;
 use xust_xpath::{Path, QualTable, Qualifier};
 
-use crate::bottomup::bottom_up_prebuilt;
+use crate::bottomup::{bottom_up_prebuilt, Annotations};
 use crate::copy_update::copy_update;
 use crate::engine::{Method, TransformError};
 use crate::naive::{naive_direct, naive_xquery};
 use crate::query::{parse_transform, TransformParseError, TransformQuery};
 use crate::sax2pass::{LdStorage, PreparedTransform, SaxTransformError};
-use crate::topdown::{top_down_prebuilt, CheckP};
+use crate::topdown::{native_check, top_down_into, top_down_prebuilt};
 
 /// The in-memory evaluation method for a transform over `path`.
 ///
@@ -150,23 +150,56 @@ impl CompiledTransform {
         }
     }
 
+    /// Evaluates against `doc` with `method` and appends the serialized
+    /// result to `out` (nothing for an empty result) — the bytes of
+    /// `self.evaluate(doc, method)?.serialize()`. TopDown and TwoPass
+    /// stream their output straight onto `out` in one pass, with no
+    /// result tree; the other methods evaluate and then serialize.
+    pub fn evaluate_into(
+        &self,
+        doc: &Document,
+        method: Method,
+        out: &mut String,
+    ) -> Result<(), TransformError> {
+        match method {
+            Method::TopDown => {
+                top_down_into(doc, &self.query, &self.selecting, &mut native_check, out)
+            }
+            Method::TwoPass => {
+                let ann = self.bottom_up(doc);
+                let mut check = |_: &Document, n, step, _: &Qualifier| ann.check(n, step);
+                top_down_into(doc, &self.query, &self.selecting, &mut check, out);
+            }
+            _ => {
+                let result = self.evaluate(doc, method)?;
+                if let Some(root) = result.root() {
+                    result.serialize_into(root, out);
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// GENTOP over the pre-compiled selecting NFA.
     pub fn top_down(&self, doc: &Document) -> Document {
-        let mut check: Box<CheckP<'_>> =
-            Box::new(|d, n, _step, qual| xust_xpath::eval_qualifier(d, n, qual));
-        top_down_prebuilt(doc, &self.query, &self.selecting, &mut check)
+        top_down_prebuilt(doc, &self.query, &self.selecting, &mut native_check)
     }
 
     /// TD-BU over both pre-compiled automata.
     pub fn two_pass(&self, doc: &Document) -> Document {
-        let ann = bottom_up_prebuilt(
+        let ann = self.bottom_up(doc);
+        let mut check = |_: &Document, n, step, _: &Qualifier| ann.check(n, step);
+        top_down_prebuilt(doc, &self.query, &self.selecting, &mut check)
+    }
+
+    /// TD-BU's first pass: the `bottomUp` qualifier annotations.
+    fn bottom_up(&self, doc: &Document) -> Annotations {
+        bottom_up_prebuilt(
             doc,
             &self.query.path,
             &self.filtering,
             self.qual_table.clone(),
-        );
-        let mut check: Box<CheckP<'_>> = Box::new(|_, n, step, _| ann.check(n, step));
-        top_down_prebuilt(doc, &self.query, &self.selecting, &mut check)
+        )
     }
 
     /// twoPassSAX over serialized input, cloning the pre-compiled

@@ -10,13 +10,21 @@
 //!   `r[[p]]`, apply the update action;
 //! * otherwise recurse into children with the new state set.
 //!
+//! The output leaves the pass in document order through a `Sink`: a
+//! `TreeSink` builds a result [`Document`] (views, fragment trees and
+//! composition need the tree), while the string sink behind
+//! `top_down_into` appends the serialized bytes directly, so a
+//! transform that is only sent somewhere never materializes a result
+//! tree at all.
+//!
 //! The qualifier oracle `checkp` is a parameter: the **GENTOP** variant
 //! passes native XPath evaluation (`xust_xpath::eval_qualifier`), the
 //! **TD-BU**/twoPass variant passes an O(1) lookup into the `bottomUp`
 //! annotations (Section 5).
 
 use xust_automata::{SelectingNfa, StateSet};
-use xust_tree::{Document, NodeId, NodeKind};
+use xust_intern::Sym;
+use xust_tree::{write_start_tag, Document, NodeId, NodeKind};
 use xust_xpath::{eval_qualifier, Qualifier};
 
 use crate::query::{InsertPos, TransformQuery, UpdateOp};
@@ -25,10 +33,123 @@ use crate::query::{InsertPos, TransformQuery, UpdateOp};
 /// `step` holds at node `n`.
 pub type CheckP<'a> = dyn FnMut(&Document, NodeId, usize, &Qualifier) -> bool + 'a;
 
+/// GENTOP's `checkp`: native qualifier evaluation at the node.
+pub(crate) fn native_check(d: &Document, n: NodeId, _step: usize, qual: &Qualifier) -> bool {
+    eval_qualifier(d, n, qual)
+}
+
+/// Receives topDown's output in document order.
+trait Sink {
+    /// Opens an element named `name` carrying the attributes of `src`'s
+    /// element `n`.
+    fn open(&mut self, name: Sym, src: &Document, n: NodeId);
+    /// Closes the most recently opened element.
+    fn close(&mut self);
+    /// Emits the whole subtree rooted at `n` of `src` unchanged.
+    fn copy(&mut self, src: &Document, n: NodeId);
+}
+
+/// Builds result nodes in a [`Document`] from the emitted output, with a
+/// stack of open elements: each node is attached under the innermost
+/// open element, or collected as a top-level node when none is open.
+struct TreeSink<'d> {
+    out: &'d mut Document,
+    open: Vec<NodeId>,
+    top: Vec<NodeId>,
+}
+
+impl<'d> TreeSink<'d> {
+    fn new(out: &'d mut Document) -> Self {
+        TreeSink {
+            out,
+            open: Vec::new(),
+            top: Vec::new(),
+        }
+    }
+
+    /// The detached top-level nodes emitted, in order.
+    fn into_top(self) -> Vec<NodeId> {
+        debug_assert!(self.open.is_empty(), "every opened element is closed");
+        self.top
+    }
+
+    fn attach(&mut self, node: NodeId) {
+        match self.open.last() {
+            Some(&parent) => self.out.append_child(parent, node),
+            None => self.top.push(node),
+        }
+    }
+}
+
+impl Sink for TreeSink<'_> {
+    fn open(&mut self, name: Sym, src: &Document, n: NodeId) {
+        let node = self
+            .out
+            .create_element_with_attrs(name, src.attrs(n).to_vec());
+        self.attach(node);
+        self.open.push(node);
+    }
+
+    fn close(&mut self) {
+        self.open.pop();
+    }
+
+    fn copy(&mut self, src: &Document, n: NodeId) {
+        let node = self.out.deep_copy_from(src, n);
+        self.attach(node);
+    }
+}
+
+/// Appends the serialized output to a string, byte-identical to
+/// serializing the tree a [`TreeSink`] would build. A start tag's `>` is
+/// deferred until the element's first child, so an element left with no
+/// children still collapses to `/>`.
+struct StrSink<'s> {
+    out: &'s mut String,
+    open: Vec<Sym>,
+    /// True while the last start tag still lacks its `>`.
+    pending: bool,
+}
+
+impl StrSink<'_> {
+    fn close_pending(&mut self) {
+        if self.pending {
+            self.out.push('>');
+            self.pending = false;
+        }
+    }
+}
+
+impl Sink for StrSink<'_> {
+    fn open(&mut self, name: Sym, src: &Document, n: NodeId) {
+        self.close_pending();
+        write_start_tag(name.as_str(), src.attrs(n), self.out);
+        self.open.push(name);
+        self.pending = true;
+    }
+
+    fn close(&mut self) {
+        let name = self.open.pop().expect("close() matches an open()");
+        if self.pending {
+            self.out.push_str("/>");
+            self.pending = false;
+        } else {
+            self.out.push_str("</");
+            self.out.push_str(name.as_str());
+            self.out.push('>');
+        }
+    }
+
+    fn copy(&mut self, src: &Document, n: NodeId) {
+        self.close_pending();
+        src.serialize_into(n, self.out);
+    }
+}
+
 /// Evaluates `Qt(T)` with the Top Down Method and native qualifier
 /// evaluation — the experiments' **GENTOP**.
 pub fn top_down(doc: &Document, q: &TransformQuery) -> Document {
-    top_down_with(doc, q, &mut |d, n, _step, qual| eval_qualifier(d, n, qual))
+    top_down_with(doc, q, &mut native_check)
 }
 
 /// GENTOP with the empty-state-set subtree pruning (Fig. 3 lines 2–3)
@@ -36,98 +157,10 @@ pub fn top_down(doc: &Document, q: &TransformQuery) -> Document {
 /// is dead. Exists only for the `ablation_pruning` bench, which
 /// quantifies how much of topDown's win comes from pruning.
 pub fn top_down_no_prune(doc: &Document, q: &TransformQuery) -> Document {
-    let mut out = Document::with_capacity(doc.arena_len());
-    let Some(root) = doc.root() else {
-        return out;
-    };
-    if q.path.is_empty() {
-        return top_down(doc, q);
-    }
     let nfa = SelectingNfa::new(&q.path);
-    fn rec(
-        src: &Document,
-        out: &mut Document,
-        nfa: &SelectingNfa,
-        op: &UpdateOp,
-        n: NodeId,
-        s: &StateSet,
-        is_root: bool,
-    ) -> Vec<NodeId> {
-        let label = match src.kind(n) {
-            NodeKind::Text(t) => return vec![out.create_text(t.clone())],
-            NodeKind::Element { name, .. } => *name,
-        };
-        let s_next = nfa.next_states(s, label, |_, qual| eval_qualifier(src, n, qual));
-        let selected = s_next.contains(nfa.final_state);
-        if selected {
-            match op {
-                UpdateOp::Delete => return Vec::new(),
-                UpdateOp::Replace { elem } => {
-                    return match elem.root() {
-                        Some(r) => vec![out.deep_copy_from(elem, r)],
-                        None => Vec::new(),
-                    }
-                }
-                _ => {}
-            }
-        }
-        let name = match (selected, op) {
-            (true, UpdateOp::Rename { name }) => *name,
-            _ => label,
-        };
-        let node = out.create_element_with_attrs(name, src.attrs(n).to_vec());
-        if selected {
-            if let UpdateOp::Insert {
-                elem,
-                pos: InsertPos::FirstInto,
-            } = op
-            {
-                if let Some(r) = elem.root() {
-                    let copy = out.deep_copy_from(elem, r);
-                    out.append_child(node, copy);
-                }
-            }
-        }
-        let children: Vec<NodeId> = src.children(n).collect();
-        for c in children {
-            // No pruning: recurse even on empty state sets.
-            for p in rec(src, out, nfa, op, c, &s_next, false) {
-                out.append_child(node, p);
-            }
-        }
-        if selected {
-            if let UpdateOp::Insert {
-                elem,
-                pos: InsertPos::LastInto,
-            } = op
-            {
-                if let Some(r) = elem.root() {
-                    let copy = out.deep_copy_from(elem, r);
-                    out.append_child(node, copy);
-                }
-            }
-        }
-        if selected && !is_root {
-            if let UpdateOp::Insert { elem, pos } = op {
-                if pos.is_sibling() {
-                    if let Some(r) = elem.root() {
-                        let copy = out.deep_copy_from(elem, r);
-                        return match pos {
-                            InsertPos::Before => vec![copy, node],
-                            InsertPos::After => vec![node, copy],
-                            _ => unreachable!(),
-                        };
-                    }
-                }
-            }
-        }
-        vec![node]
-    }
-    let produced = rec(doc, &mut out, &nfa, &q.op, root, &nfa.initial(), true);
-    if let Some(&r) = produced.first() {
-        out.set_root(r);
-    }
-    out
+    build_tree(doc.arena_len(), |sink| {
+        run(doc, q, &nfa, &mut native_check, false, sink)
+    })
 }
 
 /// Evaluates `Qt(T)` with a caller-supplied `checkp` oracle.
@@ -146,91 +179,100 @@ pub fn top_down_prebuilt(
     nfa: &SelectingNfa,
     check: &mut CheckP<'_>,
 ) -> Document {
-    let mut out = Document::with_capacity(doc.arena_len());
-    let Some(root) = doc.root() else {
-        return out;
+    build_tree(doc.arena_len(), |sink| run(doc, q, nfa, check, true, sink))
+}
+
+/// [`top_down_prebuilt`] writing the serialized result straight onto
+/// `out` (nothing for an empty result), with no result tree in between.
+pub(crate) fn top_down_into(
+    doc: &Document,
+    q: &TransformQuery,
+    nfa: &SelectingNfa,
+    check: &mut CheckP<'_>,
+    out: &mut String,
+) {
+    let mut sink = StrSink {
+        out,
+        open: Vec::new(),
+        pending: false,
     };
-    // ε path: r[[ε]] = {root} — the automaton has nothing to consume, so
-    // the update applies to the root directly.
-    if q.path.is_empty() {
-        match &q.op {
-            UpdateOp::Delete => return out,
-            UpdateOp::Replace { elem } => {
-                if let Some(e_root) = elem.root() {
-                    let copy = out.deep_copy_from(elem, e_root);
-                    out.set_root(copy);
-                }
-                return out;
-            }
-            UpdateOp::Rename { name } => {
-                let copy = out.deep_copy_from(doc, root);
-                out.rename(copy, *name);
-                out.set_root(copy);
-                return out;
-            }
-            UpdateOp::Insert { elem, pos } => {
-                let copy = out.deep_copy_from(doc, root);
-                // Sibling positions are undefined at the root — skip.
-                if !pos.is_sibling() {
-                    if let Some(e_root) = elem.root() {
-                        let e_copy = out.deep_copy_from(elem, e_root);
-                        match pos {
-                            InsertPos::LastInto => out.append_child(copy, e_copy),
-                            InsertPos::FirstInto => out.prepend_child(copy, e_copy),
-                            InsertPos::Before | InsertPos::After => unreachable!(),
-                        }
-                    }
-                }
-                out.set_root(copy);
-                return out;
-            }
-        }
-    }
-    let init = nfa.initial();
-    // The root is handled outside `rec` so that sibling inserts (`before`
-    // / `after`) on a selected root are skipped: a document has exactly
-    // one root, so there is no position to put the sibling.
-    let root_label = doc.name_sym(root).expect("root is an element");
-    let s_next = nfa.next_states(&init, root_label, |step, qual| check(doc, root, step, qual));
-    if s_next.is_empty() {
-        let copy = out.deep_copy_from(doc, root);
-        out.set_root(copy);
-        return out;
-    }
-    let mut cx = Cx {
-        src: doc,
-        out: &mut out,
-        nfa,
-        op: &q.op,
-        check,
-    };
-    let produced = cx.process(root, &s_next);
-    debug_assert!(produced.len() <= 1, "root produces at most one node");
-    if let Some(&new_root) = produced.first() {
-        out.set_root(new_root);
+    run(doc, q, nfa, check, true, &mut sink);
+}
+
+/// Runs `emit` into a fresh [`TreeSink`] and roots the document at the
+/// (at most one) top-level node it produced.
+fn build_tree(capacity: usize, emit: impl FnOnce(&mut TreeSink<'_>)) -> Document {
+    let mut out = Document::with_capacity(capacity);
+    let mut sink = TreeSink::new(&mut out);
+    emit(&mut sink);
+    let top = sink.into_top();
+    debug_assert!(top.len() <= 1, "a document pass produces at most one root");
+    if let Some(&root) = top.first() {
+        out.set_root(root);
     }
     out
 }
 
-struct Cx<'a, 'c> {
+/// The whole-document pass. The root goes through [`Cx::process`], which
+/// is sibling-free, so sibling inserts (`before` / `after`) on a selected
+/// root are skipped: a document has exactly one root, so there is no
+/// position to put the sibling.
+fn run<S: Sink>(
+    doc: &Document,
+    q: &TransformQuery,
+    nfa: &SelectingNfa,
+    check: &mut CheckP<'_>,
+    prune: bool,
+    sink: &mut S,
+) {
+    let Some(root) = doc.root() else {
+        return;
+    };
+    let init = nfa.initial();
+    // ε path: r[[ε]] = {root} — the automaton has nothing to consume, so
+    // the initial states (which contain the final one) hold at the root.
+    let s_root = if q.path.is_empty() {
+        init
+    } else {
+        let label = doc.name_sym(root).expect("root is an element");
+        nfa.next_states(&init, label, |step, qual| check(doc, root, step, qual))
+    };
+    if prune && s_root.is_empty() {
+        sink.copy(doc, root);
+        return;
+    }
+    let mut cx = Cx {
+        src: doc,
+        sink,
+        nfa,
+        op: &q.op,
+        check,
+        prune,
+        targets: None,
+    };
+    cx.process(root, &s_root);
+}
+
+struct Cx<'a, 'c, S> {
     src: &'a Document,
-    out: &'a mut Document,
+    sink: &'a mut S,
     nfa: &'a SelectingNfa,
     op: &'a UpdateOp,
     check: &'a mut CheckP<'c>,
+    /// Fig. 3 lines 2–3; off only for [`top_down_no_prune`].
+    prune: bool,
+    /// Collects the selected source nodes when set.
+    targets: Option<&'a mut Vec<NodeId>>,
 }
 
-impl Cx<'_, '_> {
+impl<S: Sink> Cx<'_, '_, S> {
     /// Transforms the subtree rooted at `n`, given the states `s` reached
-    /// at `n`'s *parent*. Returns the produced node(s): none for a
-    /// deleted node, one otherwise.
-    fn rec(&mut self, n: NodeId, s: &StateSet) -> Vec<NodeId> {
+    /// at `n`'s *parent*: emits nothing for a deleted node, otherwise the
+    /// produced node, wrapped by a selected node's sibling insert.
+    fn rec(&mut self, n: NodeId, s: &StateSet) {
         // Text nodes are never matched by X steps: copy through.
         let label = match self.src.kind(n) {
-            NodeKind::Text(t) => {
-                let copy = self.out.create_text(t.clone());
-                return vec![copy];
-            }
+            NodeKind::Text(_) => return self.sink.copy(self.src, n),
             NodeKind::Element { name, .. } => *name,
         };
         let src = self.src;
@@ -240,44 +282,46 @@ impl Cx<'_, '_> {
             .next_states(s, label, |step, qual| check(src, n, step, qual));
 
         // Fig. 3 lines 2–3: unaffected subtree — copy unchanged.
-        if s_next.is_empty() {
-            let copy = self.out.deep_copy_from(self.src, n);
-            return vec![copy];
+        if self.prune && s_next.is_empty() {
+            return self.sink.copy(src, n);
         }
-        let mut produced = self.process(n, &s_next);
         // Sibling inserts: `process` is sibling-free (composition resumes
         // it mid-tree where the siblings belong to the caller), so wrap
         // the produced node here.
-        if let UpdateOp::Insert { elem, pos } = self.op {
-            if pos.is_sibling() && s_next.contains(self.nfa.final_state) {
-                if let Some(e_root) = elem.root() {
-                    let e_copy = self.out.deep_copy_from(elem, e_root);
-                    match pos {
-                        InsertPos::Before => produced.insert(0, e_copy),
-                        InsertPos::After => produced.push(e_copy),
-                        _ => unreachable!(),
-                    }
-                }
+        let sibling = match self.op {
+            UpdateOp::Insert { elem, pos }
+                if pos.is_sibling() && s_next.contains(self.nfa.final_state) =>
+            {
+                elem.root().map(|r| (elem, r, *pos))
             }
+            _ => None,
+        };
+        if let Some((elem, r, InsertPos::Before)) = sibling {
+            self.sink.copy(elem, r);
         }
-        produced
+        self.process(n, &s_next);
+        if let Some((elem, r, InsertPos::After)) = sibling {
+            self.sink.copy(elem, r);
+        }
     }
 
     /// The post-transition body of `rec`: transforms `n` given the states
     /// already reached *at* `n`. Exposed (via [`top_down_subtree`]) for the
     /// composition algorithm, whose inlined `topDown(Mp, S, Qt, $z)` calls
     /// resume the automaton mid-document with a compile-time state set.
-    fn process(&mut self, n: NodeId, s_next: &StateSet) -> Vec<NodeId> {
+    fn process(&mut self, n: NodeId, s_next: &StateSet) {
         let selected = s_next.contains(self.nfa.final_state);
         if selected {
+            if let Some(targets) = self.targets.as_deref_mut() {
+                targets.push(n);
+            }
             match self.op {
-                UpdateOp::Delete => return Vec::new(),
+                UpdateOp::Delete => return,
                 UpdateOp::Replace { elem } => {
-                    let Some(e_root) = elem.root() else {
-                        return Vec::new();
-                    };
-                    let copy = self.out.deep_copy_from(elem, e_root);
-                    return vec![copy];
+                    if let Some(e_root) = elem.root() {
+                        self.sink.copy(elem, e_root);
+                    }
+                    return;
                 }
                 UpdateOp::Insert { .. } | UpdateOp::Rename { .. } => {
                     // fall through: children still processed (nested
@@ -293,40 +337,24 @@ impl Cx<'_, '_> {
                 .name_sym(n)
                 .expect("process() is called on elements"),
         };
-        let attrs = self.src.attrs(n).to_vec();
-        let new_node = self.out.create_element_with_attrs(out_name, attrs);
-        if selected {
-            if let UpdateOp::Insert {
-                elem,
-                pos: InsertPos::FirstInto,
-            } = self.op
-            {
-                if let Some(e_root) = elem.root() {
-                    let copy = self.out.deep_copy_from(elem, e_root);
-                    self.out.append_child(new_node, copy);
-                }
-            }
+        self.sink.open(out_name, self.src, n);
+        let into = match self.op {
+            UpdateOp::Insert { elem, pos } if selected => elem.root().map(|r| (elem, r, *pos)),
+            _ => None,
+        };
+        if let Some((elem, r, InsertPos::FirstInto)) = into {
+            self.sink.copy(elem, r);
         }
-        let children: Vec<NodeId> = self.src.children(n).collect();
-        for c in children {
-            for produced in self.rec(c, s_next) {
-                self.out.append_child(new_node, produced);
-            }
+        let mut child = self.src.first_child(n);
+        while let Some(c) = child {
+            self.rec(c, s_next);
+            child = self.src.next_sibling(c);
         }
-        if selected {
-            if let UpdateOp::Insert {
-                elem,
-                pos: InsertPos::LastInto,
-            } = self.op
-            {
-                if let Some(e_root) = elem.root() {
-                    // Fig. 3 lines 7–8: add e as the last child.
-                    let copy = self.out.deep_copy_from(elem, e_root);
-                    self.out.append_child(new_node, copy);
-                }
-            }
+        if let Some((elem, r, InsertPos::LastInto)) = into {
+            // Fig. 3 lines 7–8: add e as the last child.
+            self.sink.copy(elem, r);
         }
-        vec![new_node]
+        self.sink.close();
     }
 }
 
@@ -341,25 +369,49 @@ pub fn top_down_subtree(
     states: &StateSet,
     q: &TransformQuery,
 ) -> Document {
-    let mut out = Document::new();
-    if states.is_empty() {
-        let copy = out.deep_copy_from(src, node);
-        out.set_root(copy);
-        return out;
-    }
-    let mut check: Box<CheckP<'_>> = Box::new(|d, n, _step, qual| eval_qualifier(d, n, qual));
-    let mut cx = Cx {
-        src,
-        out: &mut out,
+    build_tree(0, |sink| {
+        if states.is_empty() {
+            return sink.copy(src, node);
+        }
+        Cx {
+            src,
+            sink,
+            nfa,
+            op: &q.op,
+            check: &mut native_check,
+            prune: true,
+            targets: None,
+        }
+        .process(node, states);
+    })
+}
+
+/// Re-runs GENTOP's `rec` at base node `n` with the states `s` reached at
+/// its parent, producing detached nodes in `out` (zero, one, or two with
+/// a sibling insert), returned in sibling order. Every selected base node
+/// is appended to `targets`. The result-patching path
+/// (`crate::patch`) splices the produced nodes over a stale fragment.
+pub(crate) fn rec_into_tree(
+    base: &Document,
+    out: &mut Document,
+    nfa: &SelectingNfa,
+    op: &UpdateOp,
+    n: NodeId,
+    s: &StateSet,
+    targets: &mut Vec<NodeId>,
+) -> Vec<NodeId> {
+    let mut sink = TreeSink::new(out);
+    Cx {
+        src: base,
+        sink: &mut sink,
         nfa,
-        op: &q.op,
-        check: &mut check,
-    };
-    let produced = cx.process(node, states);
-    if let Some(&r) = produced.first() {
-        out.set_root(r);
+        op,
+        check: &mut native_check,
+        prune: true,
+        targets: Some(targets),
     }
-    out
+    .rec(n, s);
+    sink.into_top()
 }
 
 #[cfg(test)]
@@ -386,6 +438,98 @@ mod tests {
             expected.serialize(),
             got.serialize()
         );
+    }
+
+    /// Streams `q` over `xml` into a string and checks the bytes against
+    /// the serialized tree result and the copy-update baseline.
+    fn streamed(xml: &str, q: &TransformQuery) -> String {
+        let d = Document::parse(xml).unwrap();
+        let nfa = SelectingNfa::new(&q.path);
+        let mut got = String::from("kept:");
+        top_down_into(&d, q, &nfa, &mut native_check, &mut got);
+        let got = got
+            .strip_prefix("kept:")
+            .expect("appends to out")
+            .to_string();
+        assert_eq!(got, top_down(&d, q).serialize(), "stream vs tree");
+        assert_eq!(got, copy_update(&d, q).serialize(), "stream vs baseline");
+        got
+    }
+
+    #[test]
+    fn streamed_delete_that_empties_an_element_collapses_it() {
+        let q = TransformQuery::delete("d", parse_path("a/b").unwrap());
+        assert_eq!(streamed("<a x=\"1\"><b/><b>t</b></a>", &q), "<a x=\"1\"/>");
+        let q = TransformQuery::delete("d", parse_path("//c").unwrap());
+        assert_eq!(streamed("<a><b><c/></b>z</a>", &q), "<a><b/>z</a>");
+    }
+
+    #[test]
+    fn streamed_sibling_insert_on_selected_root_is_skipped() {
+        let e = Document::parse("<s/>").unwrap();
+        for pos in [InsertPos::Before, InsertPos::After] {
+            let q = TransformQuery::insert_at("d", parse_path("a").unwrap(), e.clone(), pos);
+            assert_eq!(streamed("<a><b/></a>", &q), "<a><b/></a>");
+            let q = TransformQuery::insert_at("d", parse_path("//b").unwrap(), e.clone(), pos);
+            let want = match pos {
+                InsertPos::Before => "<a><s/><b/></a>",
+                _ => "<a><b/><s/></a>",
+            };
+            assert_eq!(streamed("<a><b/></a>", &q), want);
+        }
+    }
+
+    #[test]
+    fn streamed_epsilon_path_ops() {
+        let eps = xust_xpath::Path::empty;
+        let e = Document::parse("<n>1</n>").unwrap();
+        let xml = "<a><b/></a>";
+        assert_eq!(streamed(xml, &TransformQuery::delete("d", eps())), "");
+        assert_eq!(
+            streamed(xml, &TransformQuery::replace("d", eps(), e.clone())),
+            "<n>1</n>"
+        );
+        assert_eq!(
+            streamed(xml, &TransformQuery::rename("d", eps(), "z")),
+            "<z><b/></z>"
+        );
+        for (pos, want) in [
+            (InsertPos::LastInto, "<a><b/><n>1</n></a>"),
+            (InsertPos::FirstInto, "<a><n>1</n><b/></a>"),
+            (InsertPos::Before, xml),
+            (InsertPos::After, xml),
+        ] {
+            let q = TransformQuery::insert_at("d", eps(), e.clone(), pos);
+            assert_eq!(streamed(xml, &q), want, "{pos:?}");
+        }
+        let q = TransformQuery::insert("d", eps(), e);
+        assert_eq!(streamed("<a/>", &q), "<a><n>1</n></a>");
+    }
+
+    #[test]
+    fn streamed_deleted_root_is_empty() {
+        let q = TransformQuery::delete("d", parse_path("//db").unwrap());
+        assert_eq!(streamed("<db><x/></db>", &q), "");
+        let mut out = String::new();
+        let nfa = SelectingNfa::new(&q.path);
+        top_down_into(&Document::new(), &q, &nfa, &mut native_check, &mut out);
+        assert_eq!(out, "");
+    }
+
+    #[test]
+    fn streamed_replace_with_empty_element() {
+        let e = Document::parse("<hidden/>").unwrap();
+        let q = TransformQuery::replace("d", parse_path("a/b").unwrap(), e);
+        assert_eq!(
+            streamed("<a><b>x</b>t<b/></a>", &q),
+            "<a><hidden/>t<hidden/></a>"
+        );
+        let q = TransformQuery::replace(
+            "d",
+            parse_path("a").unwrap(),
+            Document::parse("<e/>").unwrap(),
+        );
+        assert_eq!(streamed("<a><b/></a>", &q), "<e/>");
     }
 
     #[test]

@@ -10,18 +10,7 @@ pub fn escape_text(s: &str) -> String {
 /// Escapes text content, appending to an existing buffer (avoids an
 /// allocation per call on hot serialization paths).
 pub fn escape_text_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            // A literal CR would be folded to LF by the reader's §2.11
-            // normalization; the reference survives, keeping
-            // parse ∘ serialize an identity.
-            '\r' => out.push_str("&#13;"),
-            _ => out.push(c),
-        }
-    }
+    escape_runs_into(s, out, &TEXT_ESCAPES);
 }
 
 /// Escapes an attribute value (double-quote delimited).
@@ -33,22 +22,61 @@ pub fn escape_attr(s: &str) -> String {
 
 /// Escapes an attribute value, appending to an existing buffer.
 pub fn escape_attr_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            // Literal whitespace would be normalized to spaces by the
-            // reader (§3.3.3); character references survive, keeping
-            // parse ∘ serialize an identity.
-            '\r' => out.push_str("&#13;"),
-            '\n' => out.push_str("&#10;"),
-            '\t' => out.push_str("&#9;"),
-            _ => out.push(c),
+    escape_runs_into(s, out, &ATTR_ESCAPES);
+}
+
+/// Entity references, indexed by the non-zero entries of the escape
+/// tables.
+const ENTITIES: [&str; 9] = [
+    "", "&amp;", "&lt;", "&gt;", "&quot;", "&apos;", "&#13;", "&#10;", "&#9;",
+];
+
+/// Builds a byte → [`ENTITIES`] index table for the listed bytes.
+const fn escape_table(escaped: &[(u8, u8)]) -> [u8; 256] {
+    let mut t = [0u8; 256];
+    let mut i = 0;
+    while i < escaped.len() {
+        t[escaped[i].0 as usize] = escaped[i].1;
+        i += 1;
+    }
+    t
+}
+
+/// Text content: `&`, `<`, `>`, and CR — a literal CR would be folded to
+/// LF by the reader's §2.11 normalization; the reference survives,
+/// keeping parse ∘ serialize an identity.
+static TEXT_ESCAPES: [u8; 256] = escape_table(&[(b'&', 1), (b'<', 2), (b'>', 3), (b'\r', 6)]);
+
+/// Attribute values add both quotes, LF and tab: literal whitespace
+/// would be normalized to spaces by the reader (§3.3.3); character
+/// references survive, keeping parse ∘ serialize an identity.
+static ATTR_ESCAPES: [u8; 256] = escape_table(&[
+    (b'&', 1),
+    (b'<', 2),
+    (b'>', 3),
+    (b'"', 4),
+    (b'\'', 5),
+    (b'\r', 6),
+    (b'\n', 7),
+    (b'\t', 8),
+]);
+
+/// Appends `s` to `out` with every byte `table` marks replaced by its
+/// entity reference, copying each unescaped run with one `push_str`.
+/// Every escaped character is ASCII, so run boundaries always fall on
+/// UTF-8 character boundaries.
+#[inline]
+fn escape_runs_into(s: &str, out: &mut String, table: &[u8; 256]) {
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let e = table[b as usize];
+        if e != 0 {
+            out.push_str(&s[run..i]);
+            out.push_str(ENTITIES[e as usize]);
+            run = i + 1;
         }
     }
+    out.push_str(&s[run..]);
 }
 
 /// Resolves the five predefined entities and numeric character references.
@@ -154,6 +182,13 @@ mod tests {
     #[test]
     fn unescape_multibyte_passthrough() {
         assert_eq!(unescape("héllo&amp;wörld"), "héllo&wörld");
+    }
+
+    #[test]
+    fn escaping_keeps_multibyte_runs_intact() {
+        assert_eq!(escape_text("é<中\r😀&"), "é&lt;中&#13;😀&amp;");
+        assert_eq!(escape_attr("\t'é\n\""), "&#9;&apos;é&#10;&quot;");
+        assert_eq!(escape_text(""), "");
     }
 
     #[test]

@@ -1756,16 +1756,15 @@ impl Server {
                 let method = ct.method();
                 rt.note_plan(|| format!("transform: nodes={} method={method}", d.arena_len()));
                 let t = Instant::now();
-                let out = ct
-                    .evaluate(&d, method)
+                // One pass writes the reply bytes: no result tree is
+                // built, so the eval phase covers serialization too.
+                let mut body = String::new();
+                ct.evaluate_into(&d, method, &mut body)
                     .map_err(|e| ServeError::Eval(e.to_string()))?;
                 stats.count_method(method);
                 let eval_micros = t.elapsed().as_micros() as u64;
                 rt.phase_micros(Phase::Eval, eval_micros);
                 self.inner.obs.record_method(method, eval_micros);
-                let t = rt.start();
-                let body = out.serialize();
-                rt.phase(Phase::Serialize, t);
                 Ok(Response {
                     body,
                     method: Some(method),

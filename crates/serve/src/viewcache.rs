@@ -694,9 +694,12 @@ fn try_patch(
         Localized::Fragments(chosen) if !chosen.is_empty() => chosen,
         _ => return None, // a site reached the root fragment: whole-result span
     };
-    // Fallback threshold: affected span vs document size.
+    // Fallback threshold: affected span vs document size. The size is
+    // the live arena slot count: the node count of a served document
+    // (writes delete, never detach), read without an O(|T|) walk.
     let span = frags.cost(&chosen);
-    if span.saturating_mul(PATCH_SPAN_FACTOR) > (ctx.base.node_count() as u64).max(256) {
+    let size = ctx.base.arena_len() - ctx.base.free_slots();
+    if span.saturating_mul(PATCH_SPAN_FACTOR) > (size as u64).max(256) {
         return None;
     }
     let q = pv.ct.query();

@@ -1,6 +1,5 @@
-use std::io::Write;
-
-use xust_sax::{escape_attr_into, SaxResult, SaxWriter};
+use xust_intern::Sym;
+use xust_sax::{escape_attr_into, escape_text_into};
 
 use crate::document::Document;
 use crate::node::{NodeId, NodeKind};
@@ -8,71 +7,63 @@ use crate::node::{NodeId, NodeKind};
 impl Document {
     /// Serializes the whole document to a string.
     pub fn serialize(&self) -> String {
-        match self.root() {
-            Some(r) => self.serialize_subtree(r),
-            None => String::new(),
+        let mut out = String::new();
+        if let Some(r) = self.root() {
+            self.serialize_into(r, &mut out);
         }
+        out
     }
 
     /// Serializes the subtree rooted at `node` to a string.
     pub fn serialize_subtree(&self, node: NodeId) -> String {
-        let mut buf = Vec::new();
-        self.write_subtree(node, &mut buf)
-            .expect("writing to Vec cannot fail");
-        String::from_utf8(buf).expect("serializer produces UTF-8")
+        let mut out = String::new();
+        self.serialize_into(node, &mut out);
+        out
     }
 
-    /// Streams the subtree rooted at `node` to any [`Write`] sink using an
-    /// iterative traversal (no recursion, bounded memory).
-    pub fn write_subtree<W: Write>(&self, node: NodeId, out: W) -> SaxResult<()> {
-        let mut w = SaxWriter::new(out);
-        // Explicit stack of (node, entered) frames: `entered == true`
-        // means children already emitted and the end tag is due.
-        enum Frame {
-            Enter(NodeId),
-            Exit(NodeId),
-        }
-        let mut stack = vec![Frame::Enter(node)];
-        while let Some(frame) = stack.pop() {
-            match frame {
-                Frame::Enter(n) => match self.kind(n) {
-                    NodeKind::Text(t) => w.text(t)?,
-                    NodeKind::Element { name, attrs } => {
-                        w.start_element(name.as_str(), attrs)?;
-                        stack.push(Frame::Exit(n));
-                        let children: Vec<NodeId> = self.children(n).collect();
-                        for &c in children.iter().rev() {
-                            stack.push(Frame::Enter(c));
-                        }
+    /// Appends the serialization of the subtree rooted at `node` to
+    /// `out`, byte-identical to what [`xust_sax::SaxWriter`] emits for the
+    /// same events (childless elements collapse to `/>`). One iterative
+    /// walk over the `first_child`/`next_sibling`/`parent` links: no
+    /// recursion, no scratch allocation, no re-validation of the bytes.
+    pub fn serialize_into(&self, node: NodeId, out: &mut String) {
+        let mut n = node;
+        'walk: loop {
+            match self.kind(n) {
+                NodeKind::Text(t) => escape_text_into(t, out),
+                NodeKind::Element { name, attrs } => {
+                    write_start_tag(name.as_str(), attrs, out);
+                    if let Some(c) = self.first_child(n) {
+                        out.push('>');
+                        n = c;
+                        continue 'walk;
                     }
-                },
-                Frame::Exit(n) => {
-                    let name = self.name(n).expect("exit frames are elements");
-                    w.end_element(name)?;
+                    out.push_str("/>");
                 }
             }
+            // `n` is complete: move to its next sibling, closing every
+            // ancestor that has none, until the walk is back at `node`.
+            while n != node {
+                if let Some(s) = self.next_sibling(n) {
+                    n = s;
+                    continue 'walk;
+                }
+                n = self.parent(n).expect("a descendant of `node` has a parent");
+                self.write_end_tag_into(n, out);
+            }
+            return;
         }
-        w.finish()?;
-        Ok(())
     }
 
     /// Appends `node`'s open start tag — `<name` plus attributes, **no
-    /// closing `>`** — to `out`, byte-identical to what [`SaxWriter`]
-    /// emits. Fragment sinks (`xust-core`'s patch assembly) use this to
-    /// frame live element tags around memoized child bytes; the
-    /// caller decides between `>` and `/>`. No-op on text nodes.
+    /// closing `>`** — to `out`, byte-identical to what
+    /// [`xust_sax::SaxWriter`] emits. Fragment sinks (`xust-core`'s patch
+    /// assembly) use this to frame live element tags around memoized
+    /// child bytes; the caller decides between `>` and `/>`. No-op on
+    /// text nodes.
     pub fn write_start_tag_into(&self, node: NodeId, out: &mut String) {
-        let NodeKind::Element { name, attrs } = self.kind(node) else {
-            return;
-        };
-        out.push('<');
-        out.push_str(name.as_str());
-        for (k, v) in attrs {
-            out.push(' ');
-            out.push_str(k.as_str());
-            out.push_str("=\"");
-            escape_attr_into(v, out);
-            out.push('"');
+        if let NodeKind::Element { name, attrs } = self.kind(node) {
+            write_start_tag(name.as_str(), attrs, out);
         }
     }
 
@@ -83,6 +74,23 @@ impl Document {
             out.push_str(name);
             out.push('>');
         }
+    }
+}
+
+/// Appends the open start tag `<name` plus escaped attributes, **no
+/// closing `>`**, to `out` — the bytes [`Document::write_start_tag_into`]
+/// writes, for an element that exists only as a name and attributes
+/// (`xust-core`'s streamed transform output renames elements on the
+/// fly).
+pub fn write_start_tag(name: &str, attrs: &[(Sym, String)], out: &mut String) {
+    out.push('<');
+    out.push_str(name);
+    for (k, v) in attrs {
+        out.push(' ');
+        out.push_str(k.as_str());
+        out.push_str("=\"");
+        escape_attr_into(v, out);
+        out.push('"');
     }
 }
 
@@ -141,6 +149,19 @@ mod tests {
         framed.push_str(&d.serialize_subtree(t));
         d.write_end_tag_into(root, &mut framed);
         assert_eq!(framed, d.serialize());
+    }
+
+    #[test]
+    fn serialize_into_appends_and_stops_at_the_subtree() {
+        let d = Document::parse("<a><b><c/>x</b><d>y</d></a>").unwrap();
+        let root = d.root().unwrap();
+        let b = d.first_child(root).unwrap();
+        let mut out = String::from("pre:");
+        d.serialize_into(b, &mut out);
+        assert_eq!(out, "pre:<b><c/>x</b>");
+        let text = d.last_child(b).unwrap();
+        d.serialize_into(text, &mut out);
+        assert_eq!(out, "pre:<b><c/>x</b>x");
     }
 
     #[test]

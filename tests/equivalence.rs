@@ -9,7 +9,7 @@ mod common;
 use common::{arb_doc, arb_op, arb_path, build_query, build_query_text};
 use proptest::prelude::*;
 
-use xust::core::{evaluate, parse_transform, Method};
+use xust::core::{evaluate, parse_transform, CompiledTransform, Method};
 use xust::tree::{docs_eq, Document};
 
 proptest! {
@@ -35,6 +35,23 @@ proptest! {
                 doc.serialize(),
                 reference.serialize(),
                 got.serialize()
+            );
+        }
+        // The streamed reply path writes the same bytes, with no result
+        // tree in between.
+        let expected = reference.serialize();
+        let ct = CompiledTransform::compile(q.clone());
+        for m in [Method::TopDown, Method::TwoPass] {
+            let mut got = String::new();
+            ct.evaluate_into(&doc, m, &mut got).unwrap();
+            prop_assert_eq!(
+                &got,
+                &expected,
+                "streamed {} disagrees on {} {} over {}",
+                m,
+                q.op.kind(),
+                q.path,
+                doc.serialize()
             );
         }
     }

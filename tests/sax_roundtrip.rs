@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use xust::sax::{events_to_string, SaxEvent, SaxParser};
-use xust::tree::{docs_eq, Document, ElementBuilder};
+use xust::tree::{docs_eq, Document, ElementBuilder, NodeId, NodeKind};
 
 const LABELS: [&str; 4] = ["a", "b", "long-name.x", "_u"];
 // Texts that force escaping and whitespace handling — including CR/LF/
@@ -94,6 +94,105 @@ proptest! {
         let root = back.root().unwrap();
         prop_assert_eq!(back.attr(root, "k"), Some(a));
         prop_assert_eq!(back.immediate_text(root), t);
+    }
+}
+
+/// Every character some escaping rule rewrites, plus plain ASCII and
+/// two- to four-byte UTF-8, for values drawn one character at a time.
+const VALUE_CHARS: [char; 15] = [
+    '&', '<', '>', '"', '\'', '\r', '\n', '\t', ' ', 'a', 'Z', '7', 'é', '中', '😀',
+];
+
+fn arb_value() -> impl Strategy<Value = String> {
+    prop::collection::vec(prop::sample::select(VALUE_CHARS.to_vec()), 1..10)
+        .prop_map(|cs| cs.into_iter().collect())
+}
+
+fn with_attrs(mut b: ElementBuilder, attrs: Vec<(&str, String)>) -> ElementBuilder {
+    for (k, v) in attrs {
+        b = b.attr(k, v);
+    }
+    b
+}
+
+/// Trees whose every text and attribute value is escape-heavy. Text
+/// children never sit next to each other, so a reparse (which merges
+/// adjacent character data) must rebuild the same tree.
+fn arb_escape_doc() -> impl Strategy<Value = Document> {
+    let attrs = || {
+        prop::collection::vec(proptest::option::of(arb_value()), 3).prop_map(|vals| {
+            ["k", "id", "v"]
+                .into_iter()
+                .zip(vals)
+                .filter_map(|(k, v)| Some((k, v?)))
+                .collect::<Vec<_>>()
+        })
+    };
+    let leaf =
+        (0..LABELS.len(), attrs(), proptest::option::of(arb_value())).prop_map(|(l, a, t)| {
+            let b = with_attrs(ElementBuilder::new(LABELS[l]), a);
+            match t {
+                Some(t) => b.text(t),
+                None => b,
+            }
+        });
+    let tree = leaf.prop_recursive(3, 24, 4, move |inner| {
+        (
+            0..LABELS.len(),
+            attrs(),
+            prop::collection::vec((proptest::option::of(arb_value()), inner), 0..4),
+            proptest::option::of(arb_value()),
+        )
+            .prop_map(|(l, a, children, tail)| {
+                let mut b = with_attrs(ElementBuilder::new(LABELS[l]), a);
+                for (text, child) in children {
+                    if let Some(t) = text {
+                        b = b.text(t);
+                    }
+                    b = b.child(child);
+                }
+                if let Some(t) = tail {
+                    b = b.text(t);
+                }
+                b
+            })
+    });
+    tree.prop_map(|b| ElementBuilder::new("root").child(b).build_document())
+}
+
+/// The SAX events of a tree, read straight off its links.
+fn tree_events(doc: &Document, n: NodeId, out: &mut Vec<SaxEvent>) {
+    match doc.kind(n) {
+        NodeKind::Text(t) => out.push(SaxEvent::Text(t.clone())),
+        NodeKind::Element { name, attrs } => {
+            out.push(SaxEvent::StartElement {
+                name: *name,
+                attrs: attrs.clone(),
+            });
+            for c in doc.children(n) {
+                tree_events(doc, c, out);
+            }
+            out.push(SaxEvent::EndElement(*name));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 192, .. ProptestConfig::default() })]
+
+    /// The tree serializer writes exactly what the SAX writer writes for
+    /// the same tree's events — so file-backed (streamed) and in-memory
+    /// documents serve identical bytes — and parse ∘ serialize is the
+    /// identity, on values full of characters that must be escaped.
+    #[test]
+    fn serializer_matches_sax_writer_on_escape_heavy_values(doc in arb_escape_doc()) {
+        let xml = doc.serialize();
+        let mut events = Vec::new();
+        tree_events(&doc, doc.root().unwrap(), &mut events);
+        prop_assert_eq!(&events_to_string(&events).expect("balanced events"), &xml);
+        let reparsed = Document::parse(&xml).expect("well-formed");
+        prop_assert!(docs_eq(&doc, &reparsed), "parse∘serialize changed the tree: {}", xml);
+        prop_assert_eq!(reparsed.serialize(), xml);
     }
 }
 
