@@ -39,4 +39,4 @@ pub use alphabet::LabelSet;
 pub use filtering::{FilterState, FilteringNfa};
 pub use selecting::{SelState, SelectingNfa, StateId};
 pub use shared::{SharedNfa, SharedState, MAX_SHARED_VIEWS};
-pub use stateset::StateSet;
+pub use stateset::{StateIter, StateSet};

@@ -2,18 +2,26 @@
 ///
 /// Selecting and filtering NFAs are linear in |p| (Section 3.4), so state
 /// sets are one or two machine words for realistic queries; `nextStates`
-/// becomes a handful of shifts and ORs. The `ablation_stateset` bench
-/// compares this against a plain vector representation.
+/// becomes a handful of shifts and ORs. States 0–63 live in an inline
+/// word, so sets over automata of up to 64 states never allocate — the
+/// common case, where `nextStates` builds a fresh set per node. The
+/// `ablation_stateset` bench compares this against a plain vector
+/// representation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StateSet {
-    words: Vec<u64>,
+    /// States 0–63.
+    low: u64,
+    /// States from 64 on, 64 per word; empty for automata of at most 64
+    /// states.
+    high: Vec<u64>,
 }
 
 impl StateSet {
     /// Empty set sized for an automaton with `n` states.
     pub fn new(n: usize) -> StateSet {
         StateSet {
-            words: vec![0; n.div_ceil(64).max(1)],
+            low: 0,
+            high: vec![0; n.div_ceil(64).saturating_sub(1)],
         }
     }
 
@@ -24,61 +32,98 @@ impl StateSet {
         s
     }
 
+    /// The word holding `state`.
+    #[inline]
+    fn word_mut(&mut self, state: usize) -> &mut u64 {
+        match state / 64 {
+            0 => &mut self.low,
+            w => &mut self.high[w - 1],
+        }
+    }
+
     /// Adds a state.
     #[inline]
     pub fn insert(&mut self, state: usize) {
-        self.words[state / 64] |= 1u64 << (state % 64);
+        *self.word_mut(state) |= 1u64 << (state % 64);
     }
 
     /// Removes a state (no-op when absent).
     #[inline]
     pub fn remove(&mut self, state: usize) {
-        self.words[state / 64] &= !(1u64 << (state % 64));
+        *self.word_mut(state) &= !(1u64 << (state % 64));
     }
 
     /// Membership test.
     #[inline]
     pub fn contains(&self, state: usize) -> bool {
-        (self.words[state / 64] >> (state % 64)) & 1 == 1
+        let word = match state / 64 {
+            0 => self.low,
+            w => self.high[w - 1],
+        };
+        (word >> (state % 64)) & 1 == 1
     }
 
     /// True if no states are present — the pruning condition of
     /// `topDown` (Fig. 3 line 2) and `bottomUp` (Fig. 9 line 6).
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.low == 0 && self.high.iter().all(|&w| w == 0)
     }
 
     /// Number of states present.
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.low.count_ones() as usize
+            + self
+                .high
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>()
     }
 
-    /// Iterates over member states in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    None
-                } else {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    Some(wi * 64 + b)
-                }
-            })
-        })
+    /// Iterates over member states in ascending order, a word at a time.
+    pub fn iter(&self) -> StateIter<'_> {
+        StateIter {
+            word: self.low,
+            base: 0,
+            rest: self.high.iter(),
+        }
     }
 
     /// In-place union.
     pub fn union_with(&mut self, other: &StateSet) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
+        self.low |= other.low;
+        for (a, b) in self.high.iter_mut().zip(&other.high) {
             *a |= b;
         }
     }
 
     /// Clears the set.
     pub fn clear(&mut self) {
-        self.words.fill(0);
+        self.low = 0;
+        self.high.fill(0);
+    }
+}
+
+/// Iterator over a [`StateSet`]'s members in ascending order.
+pub struct StateIter<'a> {
+    /// Members of the current word not yet yielded.
+    word: u64,
+    /// State number of the current word's bit 0.
+    base: usize,
+    rest: std::slice::Iter<'a, u64>,
+}
+
+impl Iterator for StateIter<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.word == 0 {
+            self.word = *self.rest.next()?;
+            self.base += 64;
+        }
+        let b = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(self.base + b)
     }
 }
 
@@ -118,6 +163,19 @@ mod tests {
         assert!(a.contains(3));
         a.clear();
         assert!(a.is_empty());
+    }
+
+    #[test]
+    fn small_automata_stay_inline() {
+        assert!(StateSet::new(64).high.is_empty());
+        assert_eq!(StateSet::new(65).high.len(), 1);
+        let mut s = StateSet::new(200);
+        for i in [0, 63, 64, 127, 128, 199] {
+            s.insert(i);
+        }
+        s.remove(127);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 63, 64, 128, 199]);
+        assert_eq!(s.len(), 5);
     }
 
     #[test]

@@ -92,6 +92,18 @@ struct TransformReplyRow {
     ratio: f64,
 }
 
+struct WriteFloorRow {
+    /// Elements in the document.
+    elements: usize,
+    /// Fastest whole-document `clone()`.
+    tree_clone_us: f64,
+    /// Fastest drop of such a clone.
+    tree_drop_us: f64,
+    /// Mean of the fastest pass of UPDATEs on a server with no views:
+    /// the copy-apply-install cost every write pays before maintenance.
+    update_no_views_us: f64,
+}
+
 struct SerializeRow {
     /// Serialized document size.
     bytes: usize,
@@ -223,6 +235,17 @@ fn main() {
     println!("\n## serialize_mb_s (whole-document serialization, fastest pass)");
     println!("{:>10.1} MB/s  ({} bytes)", ser_row.mb_s, ser_row.bytes);
 
+    // ---- the write floor (absolute): document copy, drop, bare UPDATE ----
+    let floor_row = run_write_floor(&reply_doc, if quick { 5 } else { 20 });
+    println!("\n## write_floor (whole-document clone / drop, UPDATE with no views)");
+    println!(
+        "{:>10.1} µs clone  {:>10.1} µs drop  {:>10.1} µs/update  ({} elements)",
+        floor_row.tree_clone_us,
+        floor_row.tree_drop_us,
+        floor_row.update_no_views_us,
+        floor_row.elements
+    );
+
     // ---- served throughput through the full stack ----
     let server = Server::builder().threads(4).build();
     server.load_doc("xmark", doc);
@@ -328,6 +351,7 @@ fn main() {
             &ivm_row,
             &reply_row,
             &ser_row,
+            &floor_row,
         );
         std::fs::write(&path, json).expect("baseline file written");
         println!("\nbaseline recorded to {path}");
@@ -963,6 +987,49 @@ fn run_serialize(doc: &Document, reps: usize) -> SerializeRow {
     }
 }
 
+/// The absolute floor under every write: the fastest of `reps`
+/// whole-document clones and drops, and the mean UPDATE cost on a
+/// server with no views (so no maintenance runs), over the fastest of
+/// `reps` passes of insert/delete pairs that keep the document's size.
+fn run_write_floor(doc: &Document, reps: usize) -> WriteFloorRow {
+    let (mut clone, mut dropt) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        let t = Instant::now();
+        let copy = std::hint::black_box(doc.clone());
+        clone = clone.min(t.elapsed().as_secs_f64());
+        let t = Instant::now();
+        drop(copy);
+        dropt = dropt.min(t.elapsed().as_secs_f64());
+    }
+    let server = Server::builder().threads(1).shards(1).build();
+    server.load_doc("xmark", doc.clone());
+    let insert = r#"transform copy $a := doc("xmark") modify do insert <floor-probe/> into $a/site return $a"#;
+    let delete =
+        r#"transform copy $a := doc("xmark") modify do delete $a/site/floor-probe return $a"#;
+    const PAIRS: usize = 4;
+    let mut update = f64::INFINITY;
+    for _ in 0..reps {
+        let t = Instant::now();
+        for _ in 0..PAIRS {
+            for u in [insert, delete] {
+                server.update_doc("xmark", u).expect("probe write applies");
+            }
+        }
+        update = update.min(t.elapsed().as_secs_f64() / (2 * PAIRS) as f64);
+    }
+    assert_eq!(
+        server.stats().update_requests as usize,
+        reps * PAIRS * 2,
+        "every probe write must apply"
+    );
+    WriteFloorRow {
+        elements: element_count(doc),
+        tree_clone_us: clone * 1e6,
+        tree_drop_us: dropt * 1e6,
+        update_no_views_us: update * 1e6,
+    }
+}
+
 /// Elements in `doc` (the size the per-element rows are stated against).
 fn element_count(doc: &Document) -> usize {
     doc.root().map_or(0, |root| {
@@ -987,6 +1054,7 @@ fn render_json(
     ivm: &IvmPatchRow,
     reply: &TransformReplyRow,
     ser: &SerializeRow,
+    floor: &WriteFloorRow,
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -1040,8 +1108,12 @@ fn render_json(
         reply.elements, reply.streamed_ms, reply.tree_ms, reply.ratio
     ));
     s.push_str(&format!(
-        "  \"serialize_mb_s\": {{\"bytes\": {}, \"mb_s\": {:.1}}}\n",
+        "  \"serialize_mb_s\": {{\"bytes\": {}, \"mb_s\": {:.1}}},\n",
         ser.bytes, ser.mb_s
+    ));
+    s.push_str(&format!(
+        "  \"write_floor\": {{\"elements\": {}, \"tree_clone_us\": {:.1}, \"tree_drop_us\": {:.1}, \"update_no_views_us\": {:.1}}}\n",
+        floor.elements, floor.tree_clone_us, floor.tree_drop_us, floor.update_no_views_us
     ));
     s.push_str("}\n");
     s

@@ -133,7 +133,7 @@ pub fn multi_snapshot(doc: &Document, q: &MultiTransformQuery) -> Document {
 
 /// Rebuilds `doc` applying the per-node actions returned by `actions`.
 fn rebuild<'a>(doc: &Document, actions: &mut dyn FnMut(NodeId) -> NodeActions<'a>) -> Document {
-    let mut out = Document::with_capacity(doc.arena_len());
+    let mut out = Document::with_capacity_of(doc);
     let Some(root) = doc.root() else {
         return out;
     };
@@ -151,9 +151,9 @@ fn rebuild_rec<'a>(
     actions: &mut dyn FnMut(NodeId) -> NodeActions<'a>,
     is_root: bool,
 ) -> Vec<NodeId> {
-    let (name, attrs) = match src.kind(n) {
-        NodeKind::Text(t) => return vec![out.create_text(t.clone())],
-        NodeKind::Element { name, attrs } => (*name, attrs.clone()),
+    let name = match src.kind(n) {
+        NodeKind::Text(t) => return vec![out.create_text(t)],
+        NodeKind::Element { name, .. } => name,
     };
     let acts = actions(n);
     let mut produced: Vec<NodeId> = Vec::new();
@@ -174,7 +174,7 @@ fn rebuild_rec<'a>(
         }
     } else {
         let out_name = acts.rename.unwrap_or(name);
-        let node = out.create_element_with_attrs(out_name, attrs);
+        let node = out.copy_element_from(out_name, src, n);
         for e in &acts.ins_first {
             if let Some(r) = e.root() {
                 let c = out.deep_copy_from(e, r);
@@ -222,7 +222,7 @@ pub fn multi_top_down(doc: &Document, q: &MultiTransformQuery) -> Document {
         .filter(|(p, _)| !p.is_empty())
         .map(|(p, op)| (SelectingNfa::new(p), op))
         .collect();
-    let mut out = Document::with_capacity(doc.arena_len());
+    let mut out = Document::with_capacity_of(doc);
     let Some(root) = doc.root() else {
         return out;
     };
@@ -244,8 +244,8 @@ fn multi_rec<'a>(
     is_root: bool,
 ) -> Vec<NodeId> {
     let label = match src.kind(n) {
-        NodeKind::Text(t) => return vec![out.create_text(t.clone())],
-        NodeKind::Element { name, .. } => *name,
+        NodeKind::Text(t) => return vec![out.create_text(t)],
+        NodeKind::Element { name, .. } => name,
     };
     let mut next: Vec<StateSet> = Vec::with_capacity(nfas.len());
     let mut acts = NodeActions::default();
@@ -294,7 +294,7 @@ fn multi_rec<'a>(
         }
     } else {
         let out_name = acts.rename.unwrap_or(label);
-        let node = out.create_element_with_attrs(out_name, src.attrs(n).to_vec());
+        let node = out.copy_element_from(out_name, src, n);
         for e in &acts.ins_first {
             if let Some(r) = e.root() {
                 let c = out.deep_copy_from(e, r);

@@ -143,7 +143,7 @@ fn shared_pass(src: &Document, queries: &[&TransformQuery]) -> Option<Vec<Shared
             .iter()
             .map(|&q| Slot {
                 q,
-                out: Document::with_capacity(src.arena_len()),
+                out: Document::with_capacity_of(src),
                 targets: Vec::new(),
             })
             .collect(),
@@ -180,7 +180,7 @@ impl Mv<'_> {
         if let NodeKind::Text(t) = self.src.kind(n) {
             for (v, sink) in sinks.iter().enumerate() {
                 if let Sink::Under(p) = *sink {
-                    let copy = self.slots[v].out.create_text(t.clone());
+                    let copy = self.slots[v].out.create_text(t);
                     self.slots[v].out.append_child(p, copy);
                 }
             }
@@ -281,8 +281,7 @@ impl Mv<'_> {
             (true, UpdateOp::Rename { name }) => *name,
             _ => self.src.name_sym(n).expect("emit() is called on elements"),
         };
-        let attrs = self.src.attrs(n).to_vec();
-        let node = self.slots[v].out.create_element_with_attrs(name, attrs);
+        let node = self.slots[v].out.copy_element_from(name, self.src, n);
         // Sibling inserts wrap the produced node; a selected *root* has
         // no sibling position, so they are skipped there (as in
         // `top_down_prebuilt`, which routes the root around the wrap).

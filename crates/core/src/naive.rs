@@ -26,7 +26,7 @@ use crate::query::{InsertPos, TransformQuery, UpdateOp};
 
 /// Evaluates `Qt(T)` with the Naive plan, natively.
 pub fn naive_direct(doc: &Document, q: &TransformQuery) -> Document {
-    let mut out = Document::with_capacity(doc.arena_len());
+    let mut out = Document::with_capacity_of(doc);
     let Some(root) = doc.root() else {
         return out;
     };
@@ -53,8 +53,8 @@ fn copy_rec(
     is_root: bool,
 ) -> Vec<NodeId> {
     match src.kind(n) {
-        NodeKind::Text(t) => vec![out.create_text(t.clone())],
-        NodeKind::Element { name, attrs } => {
+        NodeKind::Text(t) => vec![out.create_text(t)],
+        NodeKind::Element { name, .. } => {
             // The quadratic membership test (deliberately a linear scan).
             let selected = xp.contains(&n);
             if selected {
@@ -71,9 +71,9 @@ fn copy_rec(
             }
             let out_name = match (selected, op) {
                 (true, UpdateOp::Rename { name: new }) => *new,
-                _ => *name,
+                _ => name,
             };
-            let node = out.create_element_with_attrs(out_name, attrs.clone());
+            let node = out.copy_element_from(out_name, src, n);
             if selected {
                 if let UpdateOp::Insert {
                     elem,

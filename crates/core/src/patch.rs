@@ -310,8 +310,7 @@ impl FragmentTree {
                     created.push(ci);
                     kids.push(ci);
                 }
-                NodeKind::Element { name, .. } => {
-                    let label = *name;
+                NodeKind::Element { name: label, .. } => {
                     let s_c =
                         nfa.next_states(s_after, label, |_, qual| eval_qualifier(base, c, qual));
                     let (count, selected) = produced_count(&s_c, nfa, &q.op);

@@ -155,12 +155,18 @@ impl CompiledTransform {
     /// `self.evaluate(doc, method)?.serialize()`. TopDown and TwoPass
     /// stream their output straight onto `out` in one pass, with no
     /// result tree; the other methods evaluate and then serialize.
+    ///
+    /// `out` first reserves about the document's size (its buffers'
+    /// footprint tracks the serialized length): growing a
+    /// multi-megabyte reply by doubling costs a copy per step and leaves
+    /// the freed steps fragmenting the allocator's arenas.
     pub fn evaluate_into(
         &self,
         doc: &Document,
         method: Method,
         out: &mut String,
     ) -> Result<(), TransformError> {
+        out.reserve(doc.heap_bytes());
         match method {
             Method::TopDown => {
                 top_down_into(doc, &self.query, &self.selecting, &mut native_check, out)

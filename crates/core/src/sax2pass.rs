@@ -1086,11 +1086,11 @@ pub(crate) fn doc_events(doc: &xust_tree::Document) -> Vec<SaxEvent> {
     while let Some(f) = stack.pop() {
         match f {
             Frame::Enter(n) => match doc.kind(n) {
-                xust_tree::NodeKind::Text(t) => events.push(SaxEvent::Text(t.clone())),
+                xust_tree::NodeKind::Text(t) => events.push(SaxEvent::Text(t.to_owned())),
                 xust_tree::NodeKind::Element { name, attrs } => {
                     events.push(SaxEvent::StartElement {
-                        name: *name,
-                        attrs: attrs.clone(),
+                        name,
+                        attrs: attrs.to_vec(),
                     });
                     stack.push(Frame::Exit(n));
                     let children: Vec<_> = doc.children(n).collect();

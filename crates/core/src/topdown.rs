@@ -83,9 +83,7 @@ impl<'d> TreeSink<'d> {
 
 impl Sink for TreeSink<'_> {
     fn open(&mut self, name: Sym, src: &Document, n: NodeId) {
-        let node = self
-            .out
-            .create_element_with_attrs(name, src.attrs(n).to_vec());
+        let node = self.out.copy_element_from(name, src, n);
         self.attach(node);
         self.open.push(node);
     }
@@ -106,7 +104,8 @@ impl Sink for TreeSink<'_> {
 /// children still collapses to `/>`.
 struct StrSink<'s> {
     out: &'s mut String,
-    open: Vec<Sym>,
+    /// Names of the open elements, resolved once at open.
+    open: Vec<&'static str>,
     /// True while the last start tag still lacks its `>`.
     pending: bool,
 }
@@ -123,7 +122,8 @@ impl StrSink<'_> {
 impl Sink for StrSink<'_> {
     fn open(&mut self, name: Sym, src: &Document, n: NodeId) {
         self.close_pending();
-        write_start_tag(name.as_str(), src.attrs(n), self.out);
+        let name = name.as_str();
+        write_start_tag(name, src.attrs(n), self.out);
         self.open.push(name);
         self.pending = true;
     }
@@ -135,7 +135,7 @@ impl Sink for StrSink<'_> {
             self.pending = false;
         } else {
             self.out.push_str("</");
-            self.out.push_str(name.as_str());
+            self.out.push_str(name);
             self.out.push('>');
         }
     }
@@ -158,7 +158,7 @@ pub fn top_down(doc: &Document, q: &TransformQuery) -> Document {
 /// quantifies how much of topDown's win comes from pruning.
 pub fn top_down_no_prune(doc: &Document, q: &TransformQuery) -> Document {
     let nfa = SelectingNfa::new(&q.path);
-    build_tree(doc.arena_len(), |sink| {
+    build_tree(Document::with_capacity_of(doc), |sink| {
         run(doc, q, &nfa, &mut native_check, false, sink)
     })
 }
@@ -179,7 +179,9 @@ pub fn top_down_prebuilt(
     nfa: &SelectingNfa,
     check: &mut CheckP<'_>,
 ) -> Document {
-    build_tree(doc.arena_len(), |sink| run(doc, q, nfa, check, true, sink))
+    build_tree(Document::with_capacity_of(doc), |sink| {
+        run(doc, q, nfa, check, true, sink)
+    })
 }
 
 /// [`top_down_prebuilt`] writing the serialized result straight onto
@@ -199,10 +201,9 @@ pub(crate) fn top_down_into(
     run(doc, q, nfa, check, true, &mut sink);
 }
 
-/// Runs `emit` into a fresh [`TreeSink`] and roots the document at the
-/// (at most one) top-level node it produced.
-fn build_tree(capacity: usize, emit: impl FnOnce(&mut TreeSink<'_>)) -> Document {
-    let mut out = Document::with_capacity(capacity);
+/// Runs `emit` into a [`TreeSink`] over the empty `out` and roots the
+/// document at the (at most one) top-level node it produced.
+fn build_tree(mut out: Document, emit: impl FnOnce(&mut TreeSink<'_>)) -> Document {
     let mut sink = TreeSink::new(&mut out);
     emit(&mut sink);
     let top = sink.into_top();
@@ -273,7 +274,7 @@ impl<S: Sink> Cx<'_, '_, S> {
         // Text nodes are never matched by X steps: copy through.
         let label = match self.src.kind(n) {
             NodeKind::Text(_) => return self.sink.copy(self.src, n),
-            NodeKind::Element { name, .. } => *name,
+            NodeKind::Element { name, .. } => name,
         };
         let src = self.src;
         let check = &mut *self.check;
@@ -369,7 +370,7 @@ pub fn top_down_subtree(
     states: &StateSet,
     q: &TransformQuery,
 ) -> Document {
-    build_tree(0, |sink| {
+    build_tree(Document::new(), |sink| {
         if states.is_empty() {
             return sink.copy(src, node);
         }

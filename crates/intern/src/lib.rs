@@ -28,6 +28,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::num::NonZeroU32;
 use std::sync::{OnceLock, RwLock};
 
 /// An interned label: a dense `u32` handle that compares, hashes, and
@@ -35,13 +36,17 @@ use std::sync::{OnceLock, RwLock};
 /// equivalent to equality of the underlying strings. The `Ord` instance
 /// follows allocation order (first-interned sorts first), *not*
 /// lexicographic order.
+///
+/// The handle is stored one above its table index, so `Option<Sym>` is
+/// as small as `Sym`: `xust-tree`'s node records keep "element name, or
+/// none for a text node" in four bytes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Sym(u32);
+pub struct Sym(NonZeroU32);
 
 impl Sym {
     /// The raw handle (an index into the owning interner's table).
     pub fn raw(self) -> u32 {
-        self.0
+        self.0.get() - 1
     }
 
     /// Resolves this symbol against the global interner.
@@ -68,7 +73,7 @@ impl fmt::Display for Sym {
 
 impl fmt::Debug for Sym {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Sym({} {:?})", self.0, self.as_str())
+        write!(f, "Sym({} {:?})", self.raw(), self.as_str())
     }
 }
 
@@ -237,7 +242,7 @@ impl Interner {
         // module docs), and a 'static str makes resolution allocation-
         // and lock-free.
         let leaked: &'static str = Box::leak(label.to_owned().into_boxed_str());
-        let sym = Sym(id);
+        let sym = Sym(NonZeroU32::new(id + 1).expect("id < u32::MAX"));
         // Publish the resolution slot BEFORE the map entry: once a Sym
         // can be observed anywhere, its slot is set.
         let (k, off) = chunk_of(inner.len);
@@ -266,7 +271,7 @@ impl Interner {
     /// # Panics
     /// Panics if `sym` did not come from this interner.
     pub fn resolve(&self, sym: Sym) -> &'static str {
-        let (k, off) = chunk_of(sym.0 as usize);
+        let (k, off) = chunk_of(sym.raw() as usize);
         self.chunks[k]
             .get()
             .and_then(|chunk| chunk[off].get())

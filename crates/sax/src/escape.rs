@@ -10,7 +10,7 @@ pub fn escape_text(s: &str) -> String {
 /// Escapes text content, appending to an existing buffer (avoids an
 /// allocation per call on hot serialization paths).
 pub fn escape_text_into(s: &str, out: &mut String) {
-    escape_runs_into(s, out, &TEXT_ESCAPES);
+    escape_runs_into(s, out, &TEXT_ESCAPES, &TEXT_SPECIAL);
 }
 
 /// Escapes an attribute value (double-quote delimited).
@@ -22,7 +22,7 @@ pub fn escape_attr(s: &str) -> String {
 
 /// Escapes an attribute value, appending to an existing buffer.
 pub fn escape_attr_into(s: &str, out: &mut String) {
-    escape_runs_into(s, out, &ATTR_ESCAPES);
+    escape_runs_into(s, out, &ATTR_ESCAPES, &ATTR_SPECIAL);
 }
 
 /// Entity references, indexed by the non-zero entries of the escape
@@ -45,12 +45,13 @@ const fn escape_table(escaped: &[(u8, u8)]) -> [u8; 256] {
 /// Text content: `&`, `<`, `>`, and CR — a literal CR would be folded to
 /// LF by the reader's §2.11 normalization; the reference survives,
 /// keeping parse ∘ serialize an identity.
-static TEXT_ESCAPES: [u8; 256] = escape_table(&[(b'&', 1), (b'<', 2), (b'>', 3), (b'\r', 6)]);
+const TEXT_SPECIAL: [(u8, u8); 4] = [(b'&', 1), (b'<', 2), (b'>', 3), (b'\r', 6)];
+static TEXT_ESCAPES: [u8; 256] = escape_table(&TEXT_SPECIAL);
 
 /// Attribute values add both quotes, LF and tab: literal whitespace
 /// would be normalized to spaces by the reader (§3.3.3); character
 /// references survive, keeping parse ∘ serialize an identity.
-static ATTR_ESCAPES: [u8; 256] = escape_table(&[
+const ATTR_SPECIAL: [(u8, u8); 8] = [
     (b'&', 1),
     (b'<', 2),
     (b'>', 3),
@@ -59,22 +60,53 @@ static ATTR_ESCAPES: [u8; 256] = escape_table(&[
     (b'\r', 6),
     (b'\n', 7),
     (b'\t', 8),
-]);
+];
+static ATTR_ESCAPES: [u8; 256] = escape_table(&ATTR_SPECIAL);
+
+/// True if any byte of the little-endian word `w` is one of `special`'s
+/// bytes: per needle, the classic "has a zero byte" test on `w` XOR the
+/// needle repeated. Exact — a borrow can only flag a byte above a true
+/// match.
+#[inline]
+fn word_has_special<const N: usize>(w: u64, special: &[(u8, u8); N]) -> bool {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    special.iter().any(|&(b, _)| {
+        let x = w ^ (LO * u64::from(b));
+        x.wrapping_sub(LO) & !x & HI != 0
+    })
+}
 
 /// Appends `s` to `out` with every byte `table` marks replaced by its
 /// entity reference, copying each unescaped run with one `push_str`.
 /// Every escaped character is ASCII, so run boundaries always fall on
-/// UTF-8 character boundaries.
+/// UTF-8 character boundaries. `special` lists the bytes `table` marks;
+/// eight bytes that hold none of them are skipped in one step.
 #[inline]
-fn escape_runs_into(s: &str, out: &mut String, table: &[u8; 256]) {
+fn escape_runs_into<const N: usize>(
+    s: &str,
+    out: &mut String,
+    table: &[u8; 256],
+    special: &[(u8, u8); N],
+) {
+    let bytes = s.as_bytes();
     let mut run = 0;
-    for (i, &b) in s.as_bytes().iter().enumerate() {
-        let e = table[b as usize];
+    let mut i = 0;
+    while i < bytes.len() {
+        if let Some(word) = bytes.get(i..i + 8) {
+            let w = u64::from_le_bytes(word.try_into().expect("an 8-byte slice"));
+            if !word_has_special(w, special) {
+                i += 8;
+                continue;
+            }
+        }
+        let e = table[bytes[i] as usize];
         if e != 0 {
             out.push_str(&s[run..i]);
             out.push_str(ENTITIES[e as usize]);
             run = i + 1;
         }
+        i += 1;
     }
     out.push_str(&s[run..]);
 }
@@ -156,6 +188,40 @@ mod tests {
             escape_attr(r#"he said "hi"'s"#),
             "he said &quot;hi&quot;&apos;s"
         );
+    }
+
+    #[test]
+    fn word_skipping_finds_specials_at_every_offset() {
+        // A byte-at-a-time reference; the fast path skips eight clean
+        // bytes at a time, so plant each special at every position of
+        // a multi-word string mixing ASCII and multi-byte characters.
+        fn reference(s: &str, attr: bool) -> String {
+            let mut out = String::new();
+            for c in s.chars() {
+                match c {
+                    '&' => out.push_str("&amp;"),
+                    '<' => out.push_str("&lt;"),
+                    '>' => out.push_str("&gt;"),
+                    '\r' => out.push_str("&#13;"),
+                    '"' if attr => out.push_str("&quot;"),
+                    '\'' if attr => out.push_str("&apos;"),
+                    '\n' if attr => out.push_str("&#10;"),
+                    '\t' if attr => out.push_str("&#9;"),
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+        let base: Vec<char> = "plain téxt ünd 日本 words, spaced out".chars().collect();
+        for special in ['&', '<', '>', '\r', '"', '\'', '\n', '\t', '='] {
+            for at in 0..base.len() {
+                let mut chars = base.clone();
+                chars[at] = special;
+                let s: String = chars.iter().collect();
+                assert_eq!(escape_text(&s), reference(&s, false), "text {s:?}");
+                assert_eq!(escape_attr(&s), reference(&s, true), "attr {s:?}");
+            }
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ use xust_core::{
 };
 use xust_sax::{SaxEvent, SaxParser, SaxWriter};
 use xust_secview::Policy;
-use xust_tree::{Document, NodeId, NodeKind};
+use xust_tree::{Document, NodeId};
 use xust_xpath::{eval_path_root, Path};
 
 use crate::cache::PreparedCache;
@@ -1247,6 +1247,7 @@ impl Server {
         if !DocView::Live(&self.inner.docs).still_at(doc, version) {
             return;
         }
+        let leaf_limit = frag_leaf_limit(tree);
         for (def, out) in defs.iter().zip(outs) {
             let link = def.single().expect("filtered on single()");
             let q = link.query();
@@ -1256,9 +1257,7 @@ impl Server {
             let frags = self
                 .inner
                 .patching
-                .then(|| {
-                    FragmentTree::build(tree, &out.doc, q, link.selecting(), frag_leaf_limit(tree))
-                })
+                .then(|| FragmentTree::build(tree, &out.doc, q, link.selecting(), leaf_limit))
                 .flatten();
             self.inner.results.insert(
                 &def.cache_key,
@@ -1373,6 +1372,7 @@ impl Server {
             .shared_pass_views
             .fetch_add(mv.shared_views as u64, Relaxed); // relaxed: monotone counter; no data published
         let live = docs.still_at(doc, version);
+        let leaf_limit = frag_leaf_limit(&base);
         for ((idx, view, def, started, mut rt), r) in pending.into_iter().zip(results) {
             rt.phase_micros(Phase::Eval, eval_micros);
             rt.set_method(Method::TopDown);
@@ -1386,15 +1386,7 @@ impl Server {
                 let frags = self
                     .inner
                     .patching
-                    .then(|| {
-                        FragmentTree::build(
-                            &base,
-                            &r.doc,
-                            q,
-                            link.selecting(),
-                            frag_leaf_limit(&base),
-                        )
-                    })
+                    .then(|| FragmentTree::build(&base, &r.doc, q, link.selecting(), leaf_limit))
                     .flatten();
                 self.inner.results.insert(
                     &def.cache_key,
@@ -2182,8 +2174,8 @@ fn update_site(doc: &Document, target: NodeId, op: &UpdateOp) -> NodeId {
 /// Adds `sign` (±1) times every element label under `node` to `out`.
 fn shift_subtree_labels(doc: &Document, node: NodeId, sign: i64, out: &mut HashMap<Sym, i64>) {
     for n in doc.descendants_or_self(node) {
-        if let NodeKind::Element { name, .. } = doc.kind(n) {
-            *out.entry(*name).or_insert(0) += sign;
+        if let Some(name) = doc.name_sym(n) {
+            *out.entry(name).or_insert(0) += sign;
         }
     }
 }
@@ -2216,8 +2208,8 @@ fn shift_update_labels(
         }
         UpdateOp::Rename { name } => {
             for &t in targets {
-                if let NodeKind::Element { name: old, .. } = doc.kind(t) {
-                    *out.entry(*old).or_insert(0) -= 1;
+                if let Some(old) = doc.name_sym(t) {
+                    *out.entry(old).or_insert(0) -= 1;
                     *out.entry(*name).or_insert(0) += 1;
                 }
             }
@@ -2245,9 +2237,11 @@ fn shift_update_labels(
 /// Provenance granularity for one materialization: aim for fragments
 /// of ~1/64th of the base document, clamped so tiny documents still
 /// split (exercising the patch path) and huge ones don't track tens of
-/// thousands of fragments.
+/// thousands of fragments. Sized from the live arena slots rather than
+/// an O(|T|) walk: served documents delete (recycling slots) and never
+/// detach, so the two counts agree.
 fn frag_leaf_limit(base: &Document) -> usize {
-    (base.node_count() / 64).clamp(8, 512)
+    ((base.arena_len() - base.free_slots()) / 64).clamp(8, 512)
 }
 
 /// What [`Server::explain`] reports: the plan a `VIEW view doc`

@@ -1,7 +1,7 @@
 use xust_intern::{Interner, IntoSym, Sym};
 
 use crate::iter::{Ancestors, Children, Descendants};
-use crate::node::{NodeData, NodeId, NodeKind, NIL};
+use crate::node::{AttrRow, Attrs, NodeData, NodeId, NodeKind, Span, NIL};
 
 /// An XML document: a node arena plus a distinguished root element.
 ///
@@ -10,14 +10,40 @@ use crate::node::{NodeData, NodeId, NodeKind, NIL};
 /// copied subtree), `delete p` ([`Document::detach`]),
 /// `replace p with e` ([`Document::replace`]), and `rename p as l`
 /// ([`Document::rename`]).
-#[derive(Debug, Clone, Default)]
+///
+/// # Layout
+///
+/// Three flat buffers and no per-node allocation: an arena of plain node
+/// records (links, name, one span), a table of attribute rows (name plus
+/// value span, each element's rows contiguous), and one byte heap holding
+/// every text and attribute value. Cloning a document copies the three
+/// buffers; dropping one frees them. Edits that retire bytes or rows
+/// (`delete`, `replace`, `set_attr`) count them as garbage, and once the
+/// garbage outgrows the live data [`Document::compact`] rewrites the
+/// spans. Compaction never renumbers nodes: a `NodeId` stays valid until
+/// its own node is deleted.
+#[derive(Debug, Clone)]
 pub struct Document {
-    pub(crate) nodes: Vec<NodeData>,
-    pub(crate) root: u32,
+    nodes: Vec<NodeData>,
+    attrs: Vec<AttrRow>,
+    /// Text and attribute values. Spans start and end on `char`
+    /// boundaries, since every write appends a whole `&str`.
+    heap: String,
+    root: u32,
     /// Arena slots recycled by [`Document::delete`]/[`Document::replace`];
     /// [`Document::alloc`] reuses them before growing the arena, so
     /// long-lived documents stay bounded under repeated edit cycles.
-    pub(crate) free: Vec<u32>,
+    free: Vec<u32>,
+    /// Heap bytes no live node references.
+    dead_bytes: usize,
+    /// Attribute rows no live element references.
+    dead_rows: usize,
+}
+
+impl Default for Document {
+    fn default() -> Self {
+        Document::new()
+    }
 }
 
 impl Document {
@@ -25,17 +51,24 @@ impl Document {
     pub fn new() -> Self {
         Document {
             nodes: Vec::new(),
+            attrs: Vec::new(),
+            heap: String::new(),
             root: NIL,
             free: Vec::new(),
+            dead_bytes: 0,
+            dead_rows: 0,
         }
     }
 
-    /// Creates an empty document with arena capacity for `n` nodes.
-    pub fn with_capacity(n: usize) -> Self {
+    /// Creates an empty document with room for a copy of `src`: as many
+    /// node records, attribute rows and heap bytes as `src` holds. Result
+    /// trees built from `src` reserve this up front.
+    pub fn with_capacity_of(src: &Document) -> Self {
         Document {
-            nodes: Vec::with_capacity(n),
-            root: NIL,
-            free: Vec::new(),
+            nodes: Vec::with_capacity(src.nodes.len() - src.free.len()),
+            attrs: Vec::with_capacity(src.attrs.len() - src.dead_rows),
+            heap: String::with_capacity(src.heap.len() - src.dead_bytes),
+            ..Document::new()
         }
     }
 
@@ -69,85 +102,168 @@ impl Document {
         }
     }
 
+    /// Bytes the document's buffers hold, counted by capacity: node
+    /// records, attribute rows, the value heap and the free list.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.nodes.capacity() * size_of::<NodeData>()
+            + self.attrs.capacity() * size_of::<AttrRow>()
+            + self.heap.capacity()
+            + self.free.capacity() * size_of::<u32>()
+    }
+
+    /// Drops spare capacity from every buffer — for a document that is
+    /// built once and then kept (parse, generators).
+    pub fn shrink_to_fit(&mut self) {
+        self.nodes.shrink_to_fit();
+        self.attrs.shrink_to_fit();
+        self.heap.shrink_to_fit();
+        self.free.shrink_to_fit();
+    }
+
     // ---- construction ----
 
-    fn alloc(&mut self, kind: NodeKind) -> NodeId {
+    fn alloc(&mut self, name: Option<Sym>, span: Span) -> NodeId {
+        let data = NodeData::new(name, span);
         if let Some(slot) = self.free.pop() {
-            self.nodes[slot as usize] = NodeData::new(kind);
+            self.nodes[slot as usize] = data;
             return NodeId(slot);
         }
         let id = self.nodes.len() as u32;
         assert!(id != NIL, "document arena full");
-        self.nodes.push(NodeData::new(kind));
+        self.nodes.push(data);
         NodeId(id)
+    }
+
+    /// Appends `s` to the heap, returning its span.
+    fn push_bytes(&mut self, s: &str) -> Span {
+        let start = self.heap.len();
+        // Keeps every span (and `Span::FREED`) representable.
+        assert!(
+            start + s.len() < u32::MAX as usize,
+            "document value heap full"
+        );
+        self.heap.push_str(s);
+        Span {
+            start: start as u32,
+            len: s.len() as u32,
+        }
+    }
+
+    /// Appends one attribute row, its value going to the heap.
+    fn push_attr(&mut self, name: Sym, value: &str) {
+        // Keeps every row span representable.
+        assert!(
+            self.attrs.len() < u32::MAX as usize,
+            "document attribute table full"
+        );
+        let span = self.push_bytes(value);
+        self.attrs.push(AttrRow { name, span });
+    }
+
+    /// The attribute-row span of an element whose rows are pushed from
+    /// `start` on.
+    fn rows_since(&self, start: usize) -> Span {
+        Span {
+            start: start as u32,
+            len: (self.attrs.len() - start) as u32,
+        }
     }
 
     /// Creates a detached element node.
     pub fn create_element(&mut self, name: impl IntoSym) -> NodeId {
-        self.alloc(NodeKind::Element {
-            name: name.into_sym(),
-            attrs: Vec::new(),
-        })
+        let rows = self.rows_since(self.attrs.len());
+        self.alloc(Some(name.into_sym()), rows)
     }
 
-    /// Creates a detached element node with attributes.
-    pub fn create_element_with_attrs(
+    /// Creates a detached element node with attributes, in the given
+    /// order.
+    pub fn create_element_with_attrs<V: AsRef<str>>(
         &mut self,
         name: impl IntoSym,
-        attrs: Vec<(Sym, String)>,
+        attrs: impl IntoIterator<Item = (Sym, V)>,
     ) -> NodeId {
-        self.alloc(NodeKind::Element {
-            name: name.into_sym(),
-            attrs,
-        })
+        let start = self.attrs.len();
+        for (k, v) in attrs {
+            self.push_attr(k, v.as_ref());
+        }
+        let rows = self.rows_since(start);
+        self.alloc(Some(name.into_sym()), rows)
+    }
+
+    /// Creates a detached element named `name` carrying a copy of the
+    /// attributes of `src`'s element `n` (none when `n` is text) — how
+    /// result trees re-emit an element under its own or a new name.
+    pub fn copy_element_from(&mut self, name: Sym, src: &Document, n: NodeId) -> NodeId {
+        let start = self.attrs.len();
+        for (k, v) in src.attrs(n).iter() {
+            self.push_attr(k, v);
+        }
+        let rows = self.rows_since(start);
+        self.alloc(Some(name), rows)
     }
 
     /// Creates a detached text node.
-    pub fn create_text(&mut self, text: impl Into<String>) -> NodeId {
-        self.alloc(NodeKind::Text(text.into()))
+    pub fn create_text(&mut self, text: impl AsRef<str>) -> NodeId {
+        let span = self.push_bytes(text.as_ref());
+        self.alloc(None, span)
     }
 
     // ---- accessors ----
 
+    /// The heap bytes of a text record (empty for a recycled slot).
+    fn text_of(&self, data: &NodeData) -> &str {
+        self.heap.get(data.span.range()).unwrap_or_default()
+    }
+
     /// The node's payload.
-    pub fn kind(&self, node: NodeId) -> &NodeKind {
-        &self.nodes[node.index()].kind
+    pub fn kind(&self, node: NodeId) -> NodeKind<'_> {
+        let data = &self.nodes[node.index()];
+        match data.name {
+            Some(name) => NodeKind::Element {
+                name,
+                attrs: Attrs::new(&self.attrs[data.span.range()], &self.heap),
+            },
+            None => NodeKind::Text(self.text_of(data)),
+        }
     }
 
     /// Element name (None for text nodes).
     pub fn name(&self, node: NodeId) -> Option<&'static str> {
-        self.nodes[node.index()].kind.name()
+        self.name_sym(node).map(Sym::as_str)
     }
 
     /// Interned element name (None for text nodes) — the label the
     /// automata compare against, with no string work.
     pub fn name_sym(&self, node: NodeId) -> Option<Sym> {
-        self.nodes[node.index()].kind.name_sym()
+        self.nodes[node.index()].name
     }
 
     /// True if `node` is an element.
     pub fn is_element(&self, node: NodeId) -> bool {
-        self.nodes[node.index()].kind.is_element()
+        self.nodes[node.index()].name.is_some()
     }
 
     /// True if `node` is a text node.
     pub fn is_text(&self, node: NodeId) -> bool {
-        self.nodes[node.index()].kind.is_text()
+        self.nodes[node.index()].name.is_none()
     }
 
     /// Text content of a text node (None for elements).
     pub fn text(&self, node: NodeId) -> Option<&str> {
-        match &self.nodes[node.index()].kind {
-            NodeKind::Text(t) => Some(t),
-            NodeKind::Element { .. } => None,
+        let data = &self.nodes[node.index()];
+        match data.name {
+            Some(_) => None,
+            None => Some(self.text_of(data)),
         }
     }
 
-    /// Attributes of an element (empty slice for text nodes).
-    pub fn attrs(&self, node: NodeId) -> &[(Sym, String)] {
-        match &self.nodes[node.index()].kind {
-            NodeKind::Element { attrs, .. } => attrs,
-            NodeKind::Text(_) => &[],
+    /// Attributes of an element (empty for text nodes).
+    pub fn attrs(&self, node: NodeId) -> Attrs<'_> {
+        let data = &self.nodes[node.index()];
+        match data.name {
+            Some(_) => Attrs::new(&self.attrs[data.span.range()], &self.heap),
+            None => Attrs::default(),
         }
     }
 
@@ -161,23 +277,37 @@ impl Document {
 
     /// Value of the attribute with interned name `name`, if present.
     pub fn attr_sym(&self, node: NodeId, name: Sym) -> Option<&str> {
-        self.attrs(node)
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, v)| v.as_str())
+        self.attrs(node).value(name)
     }
 
-    /// Sets (or adds) an attribute on an element.
-    pub fn set_attr(&mut self, node: NodeId, name: impl IntoSym, value: impl Into<String>) {
-        if let NodeKind::Element { attrs, .. } = &mut self.nodes[node.index()].kind {
-            let name = name.into_sym();
-            let value = value.into();
-            if let Some(slot) = attrs.iter_mut().find(|(k, _)| *k == name) {
-                slot.1 = value;
-            } else {
-                attrs.push((name, value));
-            }
+    /// Sets (or adds) an attribute on an element. The new value goes to
+    /// the heap; a replaced value becomes garbage.
+    pub fn set_attr(&mut self, node: NodeId, name: impl IntoSym, value: impl AsRef<str>) {
+        let data = self.nodes[node.index()];
+        if data.name.is_none() {
+            return;
         }
+        let name = name.into_sym();
+        let span = self.push_bytes(value.as_ref());
+        let rows = data.span.range();
+        if let Some(row) = self.attrs[rows.clone()].iter_mut().find(|r| r.name == name) {
+            self.dead_bytes += row.span.len as usize;
+            row.span = span;
+        } else {
+            // An element's rows stay contiguous: unless they already end
+            // the table, move them to its end before adding the new one.
+            let start = if rows.end == self.attrs.len() {
+                rows.start
+            } else {
+                self.dead_rows += rows.len();
+                let start = self.attrs.len();
+                self.attrs.extend_from_within(rows);
+                start
+            };
+            self.attrs.push(AttrRow { name, span });
+            self.nodes[node.index()].span = self.rows_since(start);
+        }
+        self.compact_if_sparse();
     }
 
     /// Concatenation of the *immediate* text children — the `text()` used
@@ -186,7 +316,7 @@ impl Document {
     pub fn immediate_text(&self, node: NodeId) -> String {
         let mut out = String::new();
         for c in self.children(node) {
-            if let NodeKind::Text(t) = self.kind(c) {
+            if let Some(t) = self.text(c) {
                 out.push_str(t);
             }
         }
@@ -197,7 +327,7 @@ impl Document {
     pub fn string_value(&self, node: NodeId) -> String {
         let mut out = String::new();
         for n in self.descendants_or_self(node) {
-            if let NodeKind::Text(t) = self.kind(n) {
+            if let Some(t) = self.text(n) {
                 out.push_str(t);
             }
         }
@@ -379,7 +509,7 @@ impl Document {
     /// [`Document::detach`] (which keeps the subtree alive for
     /// re-insertion), the deleted `NodeId`s must not be used afterwards.
     pub fn delete(&mut self, node: NodeId) {
-        if self.nodes[node.index()].freed {
+        if self.nodes[node.index()].is_freed() {
             // Already recycled: an earlier delete covered this node (the
             // target list contained an ancestor).
             return;
@@ -389,30 +519,88 @@ impl Document {
     }
 
     /// Pushes every slot of the (already detached) subtree at `node`
-    /// onto the free list, dropping the payloads.
+    /// onto the free list, counting its heap bytes and attribute rows as
+    /// garbage.
     fn recycle(&mut self, node: NodeId) {
-        if self.nodes[node.index()].freed {
+        if self.nodes[node.index()].is_freed() {
             return;
         }
         let subtree: Vec<NodeId> = self.descendants_or_self(node).collect();
         for n in subtree {
-            let data = &mut self.nodes[n.index()];
-            data.parent = NIL;
-            data.first_child = NIL;
-            data.last_child = NIL;
-            data.prev_sibling = NIL;
-            data.next_sibling = NIL;
-            data.freed = true;
-            data.kind = NodeKind::Text(String::new());
+            let data = self.nodes[n.index()];
+            match data.name {
+                Some(_) => {
+                    let rows = &self.attrs[data.span.range()];
+                    self.dead_rows += rows.len();
+                    self.dead_bytes += rows.iter().map(|r| r.span.len as usize).sum::<usize>();
+                }
+                None => self.dead_bytes += data.span.len as usize,
+            }
+            self.nodes[n.index()] = NodeData::new(None, Span::FREED);
             self.free.push(n.0);
         }
+        self.compact_if_sparse();
     }
 
     /// Renames an element — `rename p as l`. No-op on text nodes.
     pub fn rename(&mut self, node: NodeId, new_name: impl IntoSym) {
-        if let NodeKind::Element { name, .. } = &mut self.nodes[node.index()].kind {
-            *name = new_name.into_sym();
+        let data = &mut self.nodes[node.index()];
+        if data.name.is_some() {
+            data.name = Some(new_name.into_sym());
         }
+    }
+
+    // ---- heap compaction ----
+
+    /// Compacts once garbage outweighs live data, in heap bytes or in
+    /// attribute rows, so edit cycles keep both buffers bounded at no
+    /// more than twice the live size, at amortized O(1) per retired
+    /// byte.
+    fn compact_if_sparse(&mut self) {
+        if self.dead_bytes * 2 > self.heap.len() || self.dead_rows * 2 > self.attrs.len() {
+            self.compact();
+        }
+    }
+
+    /// Rewrites the heap and the attribute table to hold only what live
+    /// nodes reference (detached subtrees included), updating each
+    /// record's span. Node records stay where they are, so every
+    /// `NodeId` keeps its node. Runs automatically as garbage builds up;
+    /// public so tests can force it between edits.
+    pub fn compact(&mut self) {
+        let mut heap = String::with_capacity(self.heap.len() - self.dead_bytes);
+        let mut attrs = Vec::with_capacity(self.attrs.len() - self.dead_rows);
+        let push = |heap: &mut String, s: &str| {
+            let start = heap.len() as u32;
+            heap.push_str(s);
+            Span {
+                start,
+                len: s.len() as u32,
+            }
+        };
+        for data in self.nodes.iter_mut().filter(|d| !d.is_freed()) {
+            data.span = match data.name {
+                None => push(&mut heap, &self.heap[data.span.range()]),
+                Some(_) => {
+                    let start = attrs.len() as u32;
+                    for row in &self.attrs[data.span.range()] {
+                        let span = push(&mut heap, &self.heap[row.span.range()]);
+                        attrs.push(AttrRow {
+                            name: row.name,
+                            span,
+                        });
+                    }
+                    Span {
+                        start,
+                        len: data.span.len,
+                    }
+                }
+            };
+        }
+        self.heap = heap;
+        self.attrs = attrs;
+        self.dead_bytes = 0;
+        self.dead_rows = 0;
     }
 
     /// Compares two nodes by document order (preorder position). An
@@ -456,9 +644,11 @@ impl Document {
     }
 
     /// Deep-copies the subtree rooted at `src_node` of `src` into `self`,
-    /// returning the new detached root of the copy.
+    /// returning the new detached root of the copy. Each node costs one
+    /// record plus its bytes appended to the heap — no allocation of its
+    /// own.
     pub fn deep_copy_from(&mut self, src: &Document, src_node: NodeId) -> NodeId {
-        let new_root = self.alloc(src.nodes[src_node.index()].kind.clone());
+        let new_root = self.copy_node_from(src, src_node);
         // Iterative copy to avoid recursion depth limits: stack of
         // (source child, destination parent). Children are pushed in
         // reverse — walking the sibling chain backwards from
@@ -474,41 +664,28 @@ impl Document {
         };
         push_children_rev(&mut stack, src_node, new_root);
         while let Some((src_child, dst_parent)) = stack.pop() {
-            let copy = self.alloc(src.nodes[src_child.index()].kind.clone());
+            let copy = self.copy_node_from(src, src_child);
             self.append_child(dst_parent, copy);
             push_children_rev(&mut stack, src_child, copy);
         }
         new_root
     }
 
+    /// Copies one node of `src` (no children) into a detached node here.
+    fn copy_node_from(&mut self, src: &Document, n: NodeId) -> NodeId {
+        match src.kind(n) {
+            NodeKind::Text(t) => self.create_text(t),
+            NodeKind::Element { name, .. } => self.copy_element_from(name, src, n),
+        }
+    }
+
     /// Deep-copies a subtree *within* this document (needed when an insert
-    /// targets many nodes: each gets a fresh copy of `e`).
+    /// targets many nodes: each gets a fresh copy of `e`). Copies through
+    /// a scratch document, since the heap cannot be read while it grows.
     pub fn deep_copy(&mut self, node: NodeId) -> NodeId {
-        let src = self.clone_subtree_kinds(node);
-        self.rebuild_from_kinds(&src)
-    }
-
-    fn clone_subtree_kinds(&self, node: NodeId) -> Vec<(usize, NodeKind)> {
-        // (depth, kind) pairs in preorder.
-        let mut out = Vec::new();
-        let base_depth = self.depth(node);
-        for n in self.descendants_or_self(node) {
-            out.push((self.depth(n) - base_depth, self.kind(n).clone()));
-        }
-        out
-    }
-
-    fn rebuild_from_kinds(&mut self, items: &[(usize, NodeKind)]) -> NodeId {
-        let root = self.alloc(items[0].1.clone());
-        let mut path: Vec<NodeId> = vec![root];
-        for (depth, kind) in &items[1..] {
-            let node = self.alloc(kind.clone());
-            path.truncate(*depth);
-            let parent = *path.last().expect("preorder depth sequence is valid");
-            self.append_child(parent, node);
-            path.push(node);
-        }
-        root
+        let mut scratch = Document::new();
+        let root = scratch.deep_copy_from(self, node);
+        self.deep_copy_from(&scratch, root)
     }
 }
 
@@ -551,7 +728,7 @@ mod tests {
     #[test]
     fn attributes() {
         let mut d = Document::new();
-        let e = d.create_element_with_attrs("a", vec![("id".into(), "x1".into())]);
+        let e = d.create_element_with_attrs("a", [("id".into(), "x1")]);
         assert_eq!(d.attr(e, "id"), Some("x1"));
         assert_eq!(d.attr(e, "nope"), None);
         d.set_attr(e, "id", "y2");
@@ -785,29 +962,74 @@ mod tests {
 
     #[test]
     fn arena_stays_bounded_across_insert_delete_cycles() {
-        // The regression the free list exists for: a long-lived document
-        // under a repeated insert→delete workload must not grow its
-        // arena without bound.
-        let mut d = Document::parse("<r><keep/></r>").unwrap();
+        // The regression the free list and heap compaction exist for: a
+        // long-lived document under a repeated insert→rewrite→delete
+        // workload must grow neither its arena nor its value heap.
+        let mut d = Document::parse("<r><keep k=\"0\">v</keep></r>").unwrap();
         let r = d.root().unwrap();
-        let mut high_water = 0;
-        for cycle in 0..100 {
-            let sub = d.create_element("tmp");
+        let keep = d.first_child(r).unwrap();
+        let (mut high_water, mut heap_high_water) = (0, 0);
+        // Fixed-width values, so every cycle retires and adds the same
+        // number of bytes.
+        for cycle in 0..1_000 {
+            let sub = d.create_element_with_attrs("tmp", [("id".into(), format!("c{cycle:03}"))]);
             let t = d.create_text("payload");
             d.append_child(sub, t);
             d.append_child(r, sub);
-            if cycle == 0 {
-                high_water = d.arena_len();
+            // Rewrites retire heap bytes without freeing a slot; adding
+            // an attribute to `sub` moves its rows when they do not end
+            // the attribute table.
+            d.set_attr(keep, "k", format!("{cycle:03}"));
+            d.set_attr(sub, format!("a{}", cycle % 3), "x");
+            let old_text = d.first_child(keep).unwrap();
+            let new_text = d.create_text(format!("v{cycle:03}"));
+            d.replace(old_text, new_text);
+            if cycle < 10 {
+                high_water = high_water.max(d.arena_len());
+                heap_high_water = heap_high_water.max(d.heap_bytes());
             } else {
                 assert_eq!(
                     d.arena_len(),
                     high_water,
                     "arena grew on cycle {cycle}: slots are leaking"
                 );
+                assert!(
+                    d.heap_bytes() <= heap_high_water,
+                    "heap grew to {} bytes on cycle {cycle} (high water {heap_high_water}): \
+                     garbage is never compacted",
+                    d.heap_bytes()
+                );
             }
             d.delete(sub);
         }
-        assert_eq!(d.serialize(), "<r><keep/></r>");
+        assert_eq!(d.serialize(), "<r><keep k=\"999\">v999</keep></r>");
+    }
+
+    #[test]
+    fn compaction_keeps_ids_and_payloads() {
+        let mut d = Document::parse("<r a=\"1\"><x b=\"2\">t</x><y/>u</r>").unwrap();
+        let r = d.root().unwrap();
+        let x = d.first_child(r).unwrap();
+        let y = d.next_sibling(x).unwrap();
+        d.set_attr(x, "b", "3");
+        d.set_attr(r, "c", "4");
+        let detached = d.create_text("kept while detached");
+        d.delete(y);
+        let before = d.serialize();
+        d.compact();
+        assert_eq!(d.serialize(), before);
+        assert_eq!(d.attr(x, "b"), Some("3"));
+        assert_eq!(d.attr(r, "c"), Some("4"));
+        assert_eq!(d.text(detached), Some("kept while detached"));
+        assert_eq!(d.name(x), Some("x"));
+    }
+
+    #[test]
+    fn parsed_document_has_no_spare_capacity() {
+        let d = Document::parse("<r a=\"1\"><x>some text</x><y b=\"22\">more</y></r>").unwrap();
+        // A clone allocates exactly what it copies, so equal figures mean
+        // parsing left no growth slack behind.
+        assert_eq!(d.heap_bytes(), d.clone().heap_bytes());
     }
 
     #[test]

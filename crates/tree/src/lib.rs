@@ -35,6 +35,6 @@ pub use build::ElementBuilder;
 pub use document::Document;
 pub use eq::{deep_eq, docs_eq};
 pub use iter::{Ancestors, Children, Descendants};
-pub use node::{NodeId, NodeKind};
+pub use node::{Attrs, NodeId, NodeKind};
 pub use parse::TreeParseError;
 pub use serialize::write_start_tag;

@@ -65,6 +65,7 @@ impl Document {
                 }
             }
         }
+        doc.shrink_to_fit();
         Ok(doc)
     }
 }

@@ -1,8 +1,7 @@
-use xust_intern::Sym;
 use xust_sax::{escape_attr_into, escape_text_into};
 
 use crate::document::Document;
-use crate::node::{NodeId, NodeKind};
+use crate::node::{Attrs, NodeId, NodeKind};
 
 impl Document {
     /// Serializes the whole document to a string.
@@ -82,10 +81,10 @@ impl Document {
 /// writes, for an element that exists only as a name and attributes
 /// (`xust-core`'s streamed transform output renames elements on the
 /// fly).
-pub fn write_start_tag(name: &str, attrs: &[(Sym, String)], out: &mut String) {
+pub fn write_start_tag(name: &str, attrs: Attrs<'_>, out: &mut String) {
     out.push('<');
     out.push_str(name);
-    for (k, v) in attrs {
+    for (k, v) in attrs.iter() {
         out.push(' ');
         out.push_str(k.as_str());
         out.push_str("=\"");

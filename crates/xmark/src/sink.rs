@@ -32,8 +32,9 @@ impl TreeSink {
     }
 
     /// Returns the built document (panics on unbalanced output).
-    pub fn finish(self) -> Document {
+    pub fn finish(mut self) -> Document {
         assert!(self.stack.is_empty(), "unbalanced generator output");
+        self.doc.shrink_to_fit();
         self.doc
     }
 }
@@ -46,10 +47,7 @@ impl Default for TreeSink {
 
 impl XmlSink for TreeSink {
     fn start(&mut self, name: &str, attrs: Vec<(String, String)>) {
-        let attrs = attrs
-            .into_iter()
-            .map(|(k, v)| (xust_sax::intern(&k), v))
-            .collect();
+        let attrs = attrs.iter().map(|(k, v)| (xust_sax::intern(k), v));
         let node = self.doc.create_element_with_attrs(name, attrs);
         match self.stack.last() {
             Some(&parent) => self.doc.append_child(parent, node),
@@ -138,12 +136,18 @@ mod tests {
     fn tree_sink_builds_document() {
         let mut s = TreeSink::new();
         s.start("a", vec![("k".into(), "v".into())]);
-        s.text("hello");
+        s.text("hel");
+        s.text("lo");
         s.start("b", vec![]);
         s.end("b");
         s.end("a");
         let doc = s.finish();
         assert_eq!(doc.serialize(), "<a k=\"v\">hello<b/></a>");
+        // Adjacent text coalesced into one node, and no growth slack
+        // left behind (a clone allocates exactly what it copies).
+        let a = doc.root().unwrap();
+        assert_eq!(doc.text(doc.first_child(a).unwrap()), Some("hello"));
+        assert_eq!(doc.heap_bytes(), doc.clone().heap_bytes());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use xust_xpath::{eval_path_root, eval_qualifier};
 use crate::ast::{CompOp, Expr, FunctionDecl, Module};
 use crate::error::QueryError;
 use crate::functions::call_builtin;
-use crate::value::{effective_boolean, string_value, DocId, Item, Store, Value};
+use crate::value::{attr_of, effective_boolean, string_value, DocId, Item, Store, Value};
 
 /// Signature of a native (Rust-implemented) function exposed to queries.
 pub type NativeFn = Rc<dyn Fn(&mut Store, &[Value]) -> Result<Value, QueryError>>;
@@ -132,7 +132,7 @@ impl Engine {
                     last_atomic = false;
                 }
                 Item::Attr(d, n, i) => {
-                    let (k, val) = &self.store.doc(*d).attrs(*n)[*i];
+                    let (k, val) = attr_of(&self.store, *d, *n, *i);
                     out.push_str(&format!("{k}=\"{val}\""));
                     last_atomic = false;
                 }
@@ -260,7 +260,7 @@ impl<'a> Evaluator<'a> {
                         // A name the interner has never seen names no
                         // attribute anywhere; hits compare Syms.
                         if let Some(want) = xust_sax::Interner::global().lookup(name) {
-                            if let Some(i) = doc.attrs(n).iter().position(|(k, _)| *k == want) {
+                            if let Some(i) = doc.attrs(n).iter().position(|(k, _)| k == want) {
                                 out.push(Item::Attr(d, n, i));
                             }
                         }
@@ -488,8 +488,8 @@ impl<'a> Evaluator<'a> {
         for v in &values {
             for item in v {
                 if let Item::Attr(d, n, i) = item {
-                    let (k, val) = self.store.doc(*d).attrs(*n)[*i].clone();
-                    attrs.push((k, val));
+                    let (k, val) = attr_of(self.store, *d, *n, *i);
+                    attrs.push((k, val.to_owned()));
                 }
             }
         }

@@ -8,7 +8,7 @@
 //! attributes, which the constructor re-attaches appropriately).
 
 use crate::error::QueryError;
-use crate::value::{effective_boolean, string_value, Item, Store, Value};
+use crate::value::{attr_of, effective_boolean, string_value, Item, Store, Value};
 
 /// Dispatches a built-in by name. Returns `None` if the name is unknown
 /// (the caller then tries user-defined and native functions).
@@ -30,7 +30,7 @@ pub fn call_builtin(
                 store.doc(*d).name(*n).unwrap_or("").to_string(),
             )]),
             [Item::Attr(d, n, i)] => Ok(vec![Item::Str(
-                store.doc(*d).attrs(*n)[*i].0.as_str().to_string(),
+                attr_of(store, *d, *n, *i).0.as_str().to_string(),
             )]),
             _ => Err(QueryError::new("local-name() needs a single node")),
         }),
@@ -88,7 +88,7 @@ pub fn call_builtin(
                 match item {
                     Item::Node(d, n) => {
                         let doc = store.doc(*d);
-                        for (i, _) in doc.attrs(*n).iter().enumerate() {
+                        for i in 0..doc.attrs(*n).len() {
                             out.push(Item::Attr(*d, *n, i));
                         }
                         for c in doc.children(*n) {

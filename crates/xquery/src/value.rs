@@ -28,6 +28,17 @@ pub enum Item {
     Bool(bool),
 }
 
+/// The `(name, value)` an [`Item::Attr`] points at. Its index was taken
+/// from the element's attribute list, and attribute lists of query
+/// inputs do not change during evaluation, so it is in range.
+pub(crate) fn attr_of(store: &Store, d: DocId, n: NodeId, i: usize) -> (xust_sax::Sym, &str) {
+    store
+        .doc(d)
+        .attrs(n)
+        .get(i)
+        .expect("attribute items index their element's attributes")
+}
+
 /// A sequence of items — every expression evaluates to a `Value`.
 pub type Value = Vec<Item>;
 
@@ -108,7 +119,7 @@ pub fn string_value(store: &Store, item: &Item) -> String {
             None => String::new(),
         },
         Item::Node(d, n) => store.doc(*d).string_value(*n),
-        Item::Attr(d, n, i) => store.doc(*d).attrs(*n)[*i].1.clone(),
+        Item::Attr(d, n, i) => attr_of(store, *d, *n, *i).1.to_owned(),
         Item::Str(s) => s.clone(),
         Item::Num(n) => format_num(*n),
         Item::Bool(b) => b.to_string(),

@@ -163,16 +163,16 @@ fn arb_escape_doc() -> impl Strategy<Value = Document> {
 /// The SAX events of a tree, read straight off its links.
 fn tree_events(doc: &Document, n: NodeId, out: &mut Vec<SaxEvent>) {
     match doc.kind(n) {
-        NodeKind::Text(t) => out.push(SaxEvent::Text(t.clone())),
+        NodeKind::Text(t) => out.push(SaxEvent::Text(t.to_owned())),
         NodeKind::Element { name, attrs } => {
             out.push(SaxEvent::StartElement {
-                name: *name,
-                attrs: attrs.clone(),
+                name,
+                attrs: attrs.to_vec(),
             });
             for c in doc.children(n) {
                 tree_events(doc, c, out);
             }
-            out.push(SaxEvent::EndElement(*name));
+            out.push(SaxEvent::EndElement(name));
         }
     }
 }
