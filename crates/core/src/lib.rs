@@ -60,13 +60,10 @@ pub use delta::{
 };
 pub use engine::{evaluate, evaluate_str, Method, TransformError};
 pub use multi::{
-    apply_chain, conflicting_targets, multi_snapshot, multi_top_down, multi_top_down_batch,
-    parallel_map, parallel_map_stats, parse_multi_transform, MultiTransformQuery, StealStats,
+    apply_chain, conflicting_targets, multi_snapshot, multi_top_down, parse_multi_transform,
+    MultiTransformQuery,
 };
-pub use multi_sax::{
-    multi_two_pass_sax, multi_two_pass_sax_files, multi_two_pass_sax_files_batch,
-    multi_two_pass_sax_str,
-};
+pub use multi_sax::{multi_two_pass_sax, multi_two_pass_sax_files, multi_two_pass_sax_str};
 pub use multi_view::{multi_view, multi_view_with_stats, MultiViewStats, SharedViewResult};
 pub use naive::{naive_direct, naive_xquery, rewrite_to_xquery};
 pub use patch::{site_chain, Collapse, FragmentTree, Localized, PatchOutcome};

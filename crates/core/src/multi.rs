@@ -325,136 +325,6 @@ fn multi_rec<'a>(
     produced
 }
 
-// ---- the parallel multi-document executor ----
-
-/// Counters from one [`parallel_map_stats`] run, for tests and the
-/// serve layer's batch statistics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StealStats {
-    /// Items processed.
-    pub items: usize,
-    /// Worker threads actually spawned.
-    pub workers: usize,
-    /// Times an idle worker stole work from another worker's queue.
-    pub steals: u64,
-}
-
-/// Fans `items` across `threads` workers with per-worker deques and
-/// work-stealing, calling `f(index, item)` exactly once per item.
-/// Results come back **in item order** regardless of which worker ran
-/// what. Uneven per-item cost is absorbed by stealing: a worker that
-/// drains its own queue pops from the *back* of the busiest sibling's
-/// queue, so one slow document never serializes the batch.
-///
-/// This is the multi-document executor behind `xust-serve`'s batched
-/// entry point; it is generic so tests and benches can drive it with
-/// plain closures.
-pub fn parallel_map_stats<T, R, F>(items: Vec<T>, threads: usize, f: F) -> (Vec<R>, StealStats)
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicU64, Ordering}; // lint: atomic-ok (test-only counter)
-    use std::sync::Mutex;
-
-    let n = items.len();
-    let workers = threads.max(1).min(n.max(1));
-    if workers <= 1 {
-        let out = items
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .collect();
-        return (
-            out,
-            StealStats {
-                items: n,
-                workers: 1,
-                steals: 0,
-            },
-        );
-    }
-
-    // Every item sits in a claim slot: whoever pops its index (own queue
-    // or steal) takes it exactly once.
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    // Per-worker deques, seeded round-robin for locality.
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new((w..n).step_by(workers).collect()))
-        .collect();
-    let steals = AtomicU64::new(0);
-    let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let queues = &queues;
-            let slots = &slots;
-            let steals = &steals;
-            let results = &results;
-            let f = &f;
-            scope.spawn(move || loop {
-                // Own queue first (front: submission order)…
-                let mut next = queues[w].lock().expect("queue lock poisoned").pop_front();
-                if next.is_none() {
-                    // …then steal from the back of a sibling's queue.
-                    for v in 1..workers {
-                        let victim = (w + v) % workers;
-                        if let Some(i) = queues[victim]
-                            .lock()
-                            .expect("queue lock poisoned")
-                            .pop_back()
-                        {
-                            steals.fetch_add(1, Ordering::Relaxed); // relaxed: monotone counter; no data published
-                            next = Some(i);
-                            break;
-                        }
-                    }
-                }
-                let Some(i) = next else { break };
-                let Some(item) = slots[i].lock().expect("slot lock poisoned").take() else {
-                    continue;
-                };
-                let r = f(i, item);
-                results.lock().expect("results lock poisoned").push((i, r));
-            });
-        }
-    });
-
-    let mut pairs = results.into_inner().expect("results lock poisoned");
-    pairs.sort_by_key(|&(i, _)| i);
-    (
-        pairs.into_iter().map(|(_, r)| r).collect(),
-        StealStats {
-            items: n,
-            workers,
-            steals: steals.load(Ordering::Relaxed), // relaxed: point-in-time read; staleness is fine
-        },
-    )
-}
-
-/// [`parallel_map_stats`] without the counters.
-pub fn parallel_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    parallel_map_stats(items, threads, f).0
-}
-
-/// Evaluates one multi-update transform over a batch of documents in
-/// parallel (work-stealing, results in input order). Each document gets
-/// its own automaton run; the `MultiTransformQuery` is shared read-only.
-pub fn multi_top_down_batch(
-    docs: &[&Document],
-    q: &MultiTransformQuery,
-    threads: usize,
-) -> Vec<Document> {
-    parallel_map(docs.to_vec(), threads, |_, doc| multi_top_down(doc, q))
-}
-
 /// Sequential chaining: applies each single-update transform to the
 /// *result* of the previous one (`uᵢ₊₁` sees `uᵢ`'s effects) — the other
 /// reasonable reading of a compound modify clause, provided for contrast
@@ -736,79 +606,6 @@ mod tests {
         let dups = conflicting_targets(&d, &mq);
         assert_eq!(dups.len(), 1);
         assert_eq!(d.name(dups[0]), Some("x"));
-    }
-
-    #[test]
-    fn parallel_map_preserves_order_and_runs_everything() {
-        let items: Vec<usize> = (0..257).collect();
-        let (out, stats) = parallel_map_stats(items, 4, |i, v| {
-            assert_eq!(i, v);
-            v * 3
-        });
-        assert_eq!(out.len(), 257);
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i * 3));
-        assert_eq!(stats.items, 257);
-        assert_eq!(stats.workers, 4);
-    }
-
-    #[test]
-    fn parallel_map_steals_under_skew() {
-        // Worker 0's queue gets all the slow items (indices 0, 4, 8, …
-        // under round-robin seeding with 4 workers); the others finish
-        // instantly and must steal to keep the batch moving.
-        let items: Vec<usize> = (0..64).collect();
-        let (out, stats) = parallel_map_stats(items, 4, |i, v| {
-            if i % 4 == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-            v
-        });
-        assert_eq!(out.len(), 64);
-        assert!(
-            stats.steals > 0,
-            "idle workers must steal from the skewed queue: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn parallel_map_single_thread_and_empty() {
-        let (out, stats) = parallel_map_stats(vec![1, 2, 3], 1, |_, v| v + 1);
-        assert_eq!(out, vec![2, 3, 4]);
-        assert_eq!(stats.workers, 1);
-        let (out, _) = parallel_map_stats(Vec::<u8>::new(), 8, |_, v| v);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn batch_matches_sequential_per_document() {
-        let mq = q(vec![
-            ("//price", UpdateOp::Delete),
-            (
-                "//part",
-                UpdateOp::Rename {
-                    name: "item".into(),
-                },
-            ),
-        ]);
-        let docs: Vec<Document> = (0..9)
-            .map(|i| {
-                let mut xml = String::from("<db>");
-                for j in 0..=i {
-                    xml.push_str(&format!("<part><price>{j}</price></part>"));
-                }
-                xml.push_str("</db>");
-                Document::parse(&xml).unwrap()
-            })
-            .collect();
-        let refs: Vec<&Document> = docs.iter().collect();
-        let batch = multi_top_down_batch(&refs, &mq, 4);
-        assert_eq!(batch.len(), docs.len());
-        for (i, d) in docs.iter().enumerate() {
-            assert!(
-                docs_eq(&batch[i], &multi_top_down(d, &mq)),
-                "batch slot {i} deviates from sequential evaluation"
-            );
-        }
     }
 
     #[test]

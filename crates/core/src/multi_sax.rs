@@ -190,26 +190,6 @@ pub fn multi_two_pass_sax_files(
     multi_two_pass_sax::<BufReader<File>, BufReader<File>, _>(p1, p2, q, out, storage)
 }
 
-/// Streams a whole batch of `(input, output)` file pairs through the
-/// multi-update transform in parallel, fanning the jobs across
-/// `threads` work-stealing workers (see
-/// [`crate::multi::parallel_map_stats`]). Per-job memory stays
-/// O(depth · Σ|pᵢ|) + Σ|Ldᵢ|, so total memory is bounded by the worker
-/// count, not the batch size. Results are returned in job order; the
-/// first failing job's error aborts the batch result (all jobs still
-/// run to completion).
-pub fn multi_two_pass_sax_files_batch(
-    jobs: &[(std::path::PathBuf, std::path::PathBuf)],
-    q: &MultiTransformQuery,
-    storage: LdStorage,
-    threads: usize,
-) -> Result<Vec<SaxStats>, SaxTransformError> {
-    let results = crate::multi::parallel_map(jobs.to_vec(), threads, |_, (input, output)| {
-        multi_two_pass_sax_files(input, q, output, storage)
-    });
-    results.into_iter().collect()
-}
-
 fn splice(sink: &mut dyn EventSink, events: &[SaxEvent]) -> Result<(), SaxTransformError> {
     for ev in events {
         sink.event(ev.clone())?;
@@ -441,62 +421,6 @@ mod tests {
         assert!(stats.max_depth >= 2);
         std::fs::remove_file(&input).ok();
         std::fs::remove_file(&output).ok();
-    }
-
-    #[test]
-    fn files_batch_matches_sequential() {
-        let dir = std::env::temp_dir();
-        let mq = q(vec![
-            ("//price", UpdateOp::Delete),
-            (
-                "//part",
-                UpdateOp::Rename {
-                    name: "item".into(),
-                },
-            ),
-        ]);
-        let jobs: Vec<(std::path::PathBuf, std::path::PathBuf)> = (0..6)
-            .map(|i| {
-                let input = dir.join(format!("xust_multi_batch_in_{i}.xml"));
-                let output = dir.join(format!("xust_multi_batch_out_{i}.xml"));
-                let mut xml = String::from("<db>");
-                for j in 0..=i {
-                    xml.push_str(&format!("<part><price>{j}</price><k>v{j}</k></part>"));
-                }
-                xml.push_str("</db>");
-                std::fs::write(&input, xml).unwrap();
-                (input, output)
-            })
-            .collect();
-        let stats = multi_two_pass_sax_files_batch(&jobs, &mq, LdStorage::Memory, 3).unwrap();
-        assert_eq!(stats.len(), jobs.len());
-        for (input, output) in &jobs {
-            let xml = std::fs::read_to_string(input).unwrap();
-            let expect = multi_two_pass_sax_str(&xml, &mq).unwrap();
-            assert_eq!(std::fs::read_to_string(output).unwrap(), expect);
-            std::fs::remove_file(input).ok();
-            std::fs::remove_file(output).ok();
-        }
-    }
-
-    #[test]
-    fn files_batch_surfaces_job_errors() {
-        let dir = std::env::temp_dir();
-        let good_in = dir.join("xust_multi_batch_ok.xml");
-        let good_out = dir.join("xust_multi_batch_ok_out.xml");
-        let bad_in = dir.join("xust_multi_batch_bad.xml");
-        let bad_out = dir.join("xust_multi_batch_bad_out.xml");
-        std::fs::write(&good_in, "<db><x/></db>").unwrap();
-        std::fs::write(&bad_in, "<db><x></db>").unwrap();
-        let mq = q(vec![("//x", UpdateOp::Delete)]);
-        let jobs = vec![
-            (good_in.clone(), good_out.clone()),
-            (bad_in.clone(), bad_out.clone()),
-        ];
-        assert!(multi_two_pass_sax_files_batch(&jobs, &mq, LdStorage::Memory, 2).is_err());
-        for f in [&good_in, &good_out, &bad_in, &bad_out] {
-            std::fs::remove_file(f).ok();
-        }
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! each worker's `recv` errors out). Results travel back on per-job
 //! channels owned by the callers, so the pool itself is fire-and-forget.
 //!
-//! [`ThreadPool::run_batch`] layers the work-stealing batch discipline
-//! of [`xust_core::parallel_map_stats`] on top of the *resident*
-//! workers: per-drainer deques with back-stealing, but bounded by the
-//! pool size across **all** concurrent callers — K clients issuing
-//! batches at once still run at most `threads()` items in flight.
+//! [`ThreadPool::run_batch`] is the multi-document executor: a
+//! work-stealing batch discipline (per-drainer deques with
+//! back-stealing) on the *resident* workers, bounded by the pool size
+//! across **all** concurrent callers — K clients issuing batches at
+//! once still run at most `threads()` items in flight.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,9 +18,19 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use xust_core::StealStats;
-
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// Counters from one [`ThreadPool::run_batch`] run, for tests and the
+/// server's batch statistics.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StealStats {
+    /// Items processed.
+    pub items: usize,
+    /// Drainer jobs the batch ran on.
+    pub workers: usize,
+    /// Times an idle drainer stole work from another drainer's queue.
+    pub steals: u64,
+}
 
 /// Fixed worker pool executing boxed jobs in submission order.
 pub struct ThreadPool {

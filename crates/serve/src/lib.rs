@@ -93,7 +93,7 @@ pub mod wal;
 
 pub use cache::PreparedCache;
 pub use error::ServeError;
-pub use executor::ThreadPool;
+pub use executor::{StealStats, ThreadPool};
 pub use obs::{HistogramSnapshot, LatencyHistogram, Obs, Phase, RequestTrace, Trace};
 pub use pipeline::{serve_pipelined, PipelineOptions};
 pub use registry::{ViewBody, ViewDef, ViewRegistry};
@@ -101,9 +101,12 @@ pub use server::{
     Analysis, DocSource, Explanation, LinkPlan, Request, Response, Server, ServerBuilder,
     StreamingSession, WalRecovery,
 };
-pub use stats::{json_escape, DeltaCell, EwmaCell, ServeStats, StatsSnapshot, Verb};
+pub use stats::{
+    json_escape, DeltaCell, EwmaCell, Family, ServeStats, StatsSnapshot, Text, Verb, FAMILIES,
+    SCALARS,
+};
 pub use store::{DocStore, StoreSnapshot, StoreUpdateError, VersionedDoc, WriteStamp};
-pub use viewcache::{MaintainOutcome, ViewResultCache};
+pub use viewcache::{Fallback, MaintainOutcome, ViewResultCache};
 pub use wal::{Wal, WalRecord, WalReplay};
 
 // Re-exported so callers can name evaluation methods and label sets

@@ -34,7 +34,7 @@ use xust_core::{
     apply_update, intern, multi_top_down, multi_view_with_stats, parse_multi_transform,
     qualifier_anchor_alphabet_into, site_chain, touched_labels_into, update_alphabet,
     value_alphabet_into, CompiledTransform, FragmentTree, LabelSet, LdStorage, Method, SaxStats,
-    Sym, TransformQuery, TransformStream, UpdateOp,
+    TransformQuery, TransformStream, UpdateOp,
 };
 use xust_sax::{SaxEvent, SaxParser, SaxWriter};
 use xust_secview::Policy;
@@ -343,7 +343,6 @@ impl Server {
     ) -> Result<WriteStamp, ServeError> {
         let name = name.into();
         let doc = Arc::new(doc);
-        let hist_src = Arc::clone(&doc);
         let wal = self.wal_handle();
         // Serialize for the log *outside* the shard lock; the log keeps
         // the installed bytes, so replay needs no source file.
@@ -370,11 +369,6 @@ impl Server {
             }
         };
         self.inner.results.purge_doc(&name);
-        // Seed the per-doc label histogram from the installed content;
-        // the write path shifts it incrementally from here on.
-        self.inner
-            .stats
-            .seed_doc_labels(&name, doc_label_histogram(&hist_src));
         self.inner.stats.record_verb(Verb::Load, true);
         Ok(stamp)
     }
@@ -1069,9 +1063,6 @@ impl Server {
                 // at which this write could flip a qualifier verdict.
                 let mut sites: Vec<Vec<NodeId>> = Vec::new();
                 let mut guard = LabelSet::new();
-                // Net element-label counts this write shifts, for the
-                // per-doc histogram (exact, from the pre-apply tree).
-                let mut label_shift: HashMap<Sym, i64> = HashMap::new();
                 let t = rt.start();
                 for (path, op) in &ops {
                     let matched = eval_path_root(&next, path);
@@ -1092,7 +1083,6 @@ impl Server {
                         renames.extend(RenameMapping::capture(&next, &matched, *name));
                         guard.insert(*name);
                     }
-                    shift_update_labels(&next, &matched, op, &mut label_shift);
                     apply_update(&mut next, &matched, op);
                 }
                 rt.phase(Phase::Eval, t);
@@ -1158,9 +1148,6 @@ impl Server {
                     outcome.patched_fragments,
                     outcome.recomputed.len() as u64,
                 );
-                if !label_shift.is_empty() {
-                    stats.shift_doc_labels(doc, &label_shift);
-                }
                 let next = Arc::new(next);
                 new_tree = Some(Arc::clone(&next));
                 Ok((DocSource::Memory(next), (outcome, targets_total)))
@@ -1171,7 +1158,7 @@ impl Server {
             })?;
         stats.update_requests.fetch_add(1, Relaxed); // relaxed: monotone counter; no data published
         for v in &outcome.retained {
-            stats.record_view_delta(v, true);
+            stats.record_view_retained(v);
         }
         for v in &outcome.patched {
             stats.record_view_patched(v);
@@ -1179,8 +1166,8 @@ impl Server {
         stats
             .patched_fragments
             .fetch_add(outcome.patched_fragments, Relaxed); // relaxed: monotone counter; no data published
-        for v in &outcome.recomputed {
-            stats.record_view_delta(v, false);
+        for (v, &why) in outcome.recomputed.iter().zip(&outcome.fallbacks) {
+            stats.record_view_recomputed(v, why);
         }
         // Every entry the write just dropped is recomputed eagerly in
         // ONE factorised sweep over the new tree — outside the store
@@ -1421,12 +1408,33 @@ impl Server {
 
     // ---- introspection ----
 
-    /// Current counter snapshot (result-cache hit/miss counts overlaid
-    /// from the cache's own counters — the single source of truth).
+    /// Current counter snapshot, with the table's `filled` rows read
+    /// from their owners: result-cache hits and misses (the cache's own
+    /// counters are the single source of truth), and the executor,
+    /// store, cache and registry gauges.
     pub fn stats(&self) -> StatsSnapshot {
-        let mut snap = self.inner.stats.snapshot();
-        snap.result_hits = self.inner.results.hits();
-        snap.result_misses = self.inner.results.misses();
+        fn cache_row<V>(c: &PreparedCache<V>) -> [u64; 5] {
+            let (len, cap) = (c.len() as u64, c.capacity() as u64);
+            [len, cap, c.hits(), c.misses(), c.evictions()]
+        }
+        let i = &self.inner;
+        let mut snap = i.stats.snapshot();
+        snap.result_hits = i.results.hits();
+        snap.result_misses = i.results.misses();
+        snap.executor_in_flight = i.pool.in_flight();
+        snap.executor_threads = i.pool.threads() as u64;
+        snap.store_active_snapshots = i.docs.active_snapshots() as u64;
+        snap.store_snapshots = i.docs.snapshots_taken();
+        snap.store_shards = i.docs.shard_count() as u64;
+        snap.store_docs = i.docs.len() as u64;
+        snap.result_cache_entries = i.results.len() as u64;
+        snap.result_cache_docs = i.results.doc_count() as u64;
+        snap.views_registered = i.registry.names().len() as u64;
+        snap.requests_traced = i.obs.requests_traced();
+        snap.prepared_caches = vec![
+            ("transforms", cache_row(&i.transforms)),
+            ("composed", cache_row(&i.composed)),
+        ];
         snap
     }
 
@@ -1453,126 +1461,13 @@ impl Server {
         self.inner.obs.set_enabled(on);
     }
 
-    /// Renders the `METRICS` reply: a Prometheus-style text exposition
-    /// of every counter, gauge, and latency histogram. Every line is
-    /// `name{labels} value` (labels optional); `# TYPE` comment lines
-    /// announce the summary family. The `METRICS` request itself is
-    /// counted first, so it appears in its own output.
+    /// Renders the `METRICS` reply: the counter table's Prometheus
+    /// exposition ([`StatsSnapshot::render_prometheus`]) plus the
+    /// latency histograms. The `METRICS` request itself is counted
+    /// first, so it appears in its own output.
     pub fn metrics(&self) -> String {
-        use std::fmt::Write;
         self.inner.stats.record_verb(Verb::Metrics, true);
-        let snap = self.stats();
-        let mut out = String::with_capacity(4096);
-        let mut line = |name: &str, value: u64| {
-            let _ = writeln!(out, "xust_{name} {value}");
-        };
-        line("requests_total", snap.requests);
-        line("failures_total", snap.failures);
-        line("prepared_cache_hits_total", snap.cache_hits);
-        line("prepared_cache_misses_total", snap.cache_misses);
-        line("compiles_total", snap.compiles);
-        line("compositions_total", snap.compositions);
-        line("view_requests_total", snap.view_requests);
-        line("query_requests_total", snap.query_requests);
-        line("transform_requests_total", snap.transform_requests);
-        line("batches_total", snap.batches);
-        line("batch_items_total", snap.batch_items);
-        line("batch_steals_total", snap.batch_steals);
-        line("stream_sessions_total", snap.stream_sessions);
-        line("update_requests_total", snap.update_requests);
-        line("delta_retained_total", snap.delta_retained);
-        line("patched_total", snap.delta_patched);
-        line("patched_fragments_total", snap.patched_fragments);
-        line("delta_recomputed_total", snap.delta_recomputed);
-        line("wal_recovered_total", snap.wal_recovered);
-        line("wal_truncations_total", snap.wal_truncations);
-        line("shared_passes_total", snap.shared_passes);
-        line("shared_pass_views_total", snap.shared_pass_views);
-        line("result_cache_hits_total", snap.result_hits);
-        line("result_cache_misses_total", snap.result_misses);
-        line("busy_micros_total", snap.busy_micros);
-        line("interned_labels", snap.interned_labels as u64);
-        // Every verb gets a series (zeros included) so scrapers see a
-        // stable schema from the first scrape.
-        for verb in Verb::ALL {
-            let (requests, errors) = self.inner.stats.verb_counts(verb);
-            let _ = writeln!(
-                out,
-                "xust_verb_requests_total{{verb=\"{verb}\"}} {requests}"
-            );
-            let _ = writeln!(out, "xust_verb_errors_total{{verb=\"{verb}\"}} {errors}");
-        }
-        for (m, n) in &snap.per_method {
-            let _ = writeln!(out, "xust_method_executions_total{{method=\"{m}\"}} {n}");
-        }
-        // Gauges: executor, store, caches, registry.
-        let _ = writeln!(
-            out,
-            "xust_executor_in_flight {}",
-            self.inner.pool.in_flight()
-        );
-        let _ = writeln!(out, "xust_executor_threads {}", self.inner.pool.threads());
-        let _ = writeln!(
-            out,
-            "xust_store_active_snapshots {}",
-            self.inner.docs.active_snapshots()
-        );
-        let _ = writeln!(
-            out,
-            "xust_store_snapshots_total {}",
-            self.inner.docs.snapshots_taken()
-        );
-        let _ = writeln!(out, "xust_store_shards {}", self.inner.docs.shard_count());
-        let _ = writeln!(out, "xust_store_docs {}", self.inner.docs.len());
-        let _ = writeln!(
-            out,
-            "xust_result_cache_entries {}",
-            self.inner.results.len()
-        );
-        let _ = writeln!(
-            out,
-            "xust_result_cache_docs {}",
-            self.inner.results.doc_count()
-        );
-        {
-            let mut cache_lines =
-                |name: &str, len: usize, capacity: usize, hits: u64, misses: u64, evict: u64| {
-                    let label = format!("{{cache=\"{name}\"}}");
-                    let _ = writeln!(out, "xust_prepared_cache_entries{label} {len}");
-                    let _ = writeln!(out, "xust_prepared_cache_capacity{label} {capacity}");
-                    let _ = writeln!(out, "xust_prepared_cache_hits{label} {hits}");
-                    let _ = writeln!(out, "xust_prepared_cache_misses{label} {misses}");
-                    let _ = writeln!(out, "xust_prepared_cache_evictions{label} {evict}");
-                };
-            let t = &self.inner.transforms;
-            cache_lines(
-                "transforms",
-                t.len(),
-                t.capacity(),
-                t.hits(),
-                t.misses(),
-                t.evictions(),
-            );
-            let c = &self.inner.composed;
-            cache_lines(
-                "composed",
-                c.len(),
-                c.capacity(),
-                c.hits(),
-                c.misses(),
-                c.evictions(),
-            );
-        }
-        let _ = writeln!(
-            out,
-            "xust_views_registered {}",
-            self.inner.registry.names().len()
-        );
-        let _ = writeln!(
-            out,
-            "xust_requests_traced_total {}",
-            self.inner.obs.requests_traced()
-        );
+        let mut out = self.stats().render_prometheus();
         self.inner.obs.render_histograms(&mut out);
         out
     }
@@ -2168,69 +2063,6 @@ fn update_site(doc: &Document, target: NodeId, op: &UpdateOp) -> NodeId {
         UpdateOp::Rename { .. } => target,
         UpdateOp::Insert { pos, .. } if !pos.is_sibling() => target,
         _ => doc.parent(target).unwrap_or(target),
-    }
-}
-
-/// Adds `sign` (±1) times every element label under `node` to `out`.
-fn shift_subtree_labels(doc: &Document, node: NodeId, sign: i64, out: &mut HashMap<Sym, i64>) {
-    for n in doc.descendants_or_self(node) {
-        if let Some(name) = doc.name_sym(n) {
-            *out.entry(name).or_insert(0) += sign;
-        }
-    }
-}
-
-/// The full element-label histogram of `doc` — the load-time seed the
-/// write path then shifts incrementally ([`ServeStats::seed_doc_labels`]).
-fn doc_label_histogram(doc: &Document) -> HashMap<Sym, i64> {
-    let mut hist = HashMap::new();
-    if let Some(r) = doc.root() {
-        shift_subtree_labels(doc, r, 1, &mut hist);
-    }
-    hist
-}
-
-/// Folds one rule's exact label-count delta into `out`, read off the
-/// pre-apply tree: subtrees an op removes count negative, subtrees it
-/// grafts count positive once per target, and a rename moves one count
-/// per matched element from the old name to the new.
-fn shift_update_labels(
-    doc: &Document,
-    targets: &[NodeId],
-    op: &UpdateOp,
-    out: &mut HashMap<Sym, i64>,
-) {
-    match op {
-        UpdateOp::Delete => {
-            for &t in targets {
-                shift_subtree_labels(doc, t, -1, out);
-            }
-        }
-        UpdateOp::Rename { name } => {
-            for &t in targets {
-                if let Some(old) = doc.name_sym(t) {
-                    *out.entry(old).or_insert(0) -= 1;
-                    *out.entry(*name).or_insert(0) += 1;
-                }
-            }
-        }
-        UpdateOp::Insert { elem, .. } => {
-            if let Some(r) = elem.root() {
-                for _ in targets {
-                    shift_subtree_labels(elem, r, 1, out);
-                }
-            }
-        }
-        UpdateOp::Replace { elem } => {
-            for &t in targets {
-                shift_subtree_labels(doc, t, -1, out);
-            }
-            if let Some(r) = elem.root() {
-                for _ in targets {
-                    shift_subtree_labels(elem, r, 1, out);
-                }
-            }
-        }
     }
 }
 

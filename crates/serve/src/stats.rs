@@ -1,4 +1,19 @@
-//! Lock-free service counters.
+//! The serve counters: one table, three renderings.
+//!
+//! Every scalar the server reports is declared once, as one row of the
+//! `counter_table!` invocation below: its field name, its `STATS`
+//! position (`section.key`, the name `xbench` reads), its
+//! JSON key, its Prometheus name and kind, and one help line. The macro
+//! expands the rows into the [`ServeStats`] atomics, the
+//! [`StatsSnapshot`] fields and the snapshot copy, and into
+//! [`SCALARS`]. Keyed families — per method, per recompute reason, per
+//! view, per document, per verb, per prepared cache — are the rows of
+//! [`FAMILIES`]. The three renderers iterate those two tables and
+//! nothing else: `STATS` (the snapshot's `Display`),
+//! [`StatsSnapshot::render_json`] and
+//! [`StatsSnapshot::render_prometheus`]. A new counter is a new row;
+//! no renderer changes. An empty `STATS` or JSON key keeps a row out of
+//! that rendering (the server-wide gauges appear in `METRICS` only).
 //!
 //! Every counter is a relaxed atomic: the numbers are observability
 //! data, not synchronization. The concurrency tests use them to prove
@@ -7,10 +22,14 @@
 //! grows with request volume).
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
-use xust_core::{Method, Sym};
+use xust_core::Method;
+
+use crate::viewcache::Fallback;
+use Val::{F, N};
 
 /// A latency EWMA whose whole state — sample count and smoothed value —
 /// lives in **one** atomic word, merged with a single CAS loop.
@@ -172,96 +191,7 @@ pub struct VerbCounters {
     pub errors: AtomicU64,
 }
 
-/// Point-in-time read of one stats counter.
-// relaxed: counters are independent monotone values; readers either
-// tolerate staleness (snapshots, reports) or re-validate with a CAS.
-fn ld(counter: &AtomicU64) -> u64 {
-    counter.load(Ordering::Relaxed) // relaxed: point-in-time read; staleness is fine
-}
-
-/// Counters for one [`crate::Server`].
-#[derive(Debug, Default)]
-pub struct ServeStats {
-    /// Requests accepted (all kinds).
-    pub requests: AtomicU64,
-    /// Requests that returned an error.
-    pub failures: AtomicU64,
-    /// Prepared-cache hits (transform or composed query reused).
-    pub cache_hits: AtomicU64,
-    /// Prepared-cache misses (entry had to be built).
-    pub cache_misses: AtomicU64,
-    /// Transform parse + NFA compilations actually performed.
-    pub compiles: AtomicU64,
-    /// User-query compositions actually performed.
-    pub compositions: AtomicU64,
-    /// View materializations served.
-    pub view_requests: AtomicU64,
-    /// User queries answered against a virtual view.
-    pub query_requests: AtomicU64,
-    /// Ad-hoc transform executions.
-    pub transform_requests: AtomicU64,
-    /// Batched entry-point invocations.
-    pub batches: AtomicU64,
-    /// Items executed through batched entry points.
-    pub batch_items: AtomicU64,
-    /// Work-stealing events across batch executions.
-    pub batch_steals: AtomicU64,
-    /// Streaming sessions opened.
-    pub stream_sessions: AtomicU64,
-    /// Live `UPDATE` writes accepted (applied and installed).
-    pub update_requests: AtomicU64,
-    /// View-result cache entries retained across a write (delta applied
-    /// in place, no recomputation).
-    pub delta_retained: AtomicU64,
-    /// View-result cache entries that failed the relevance test but
-    /// were **patched in place** through their provenance maps instead
-    /// of dropped (the third maintenance fate).
-    pub delta_patched: AtomicU64,
-    /// Result fragments spliced across all patch fates.
-    pub patched_fragments: AtomicU64,
-    /// View-result cache entries invalidated by a write (recomputed
-    /// lazily on next request).
-    pub delta_recomputed: AtomicU64,
-    /// Intact write-ahead-log records replayed at attach time.
-    pub wal_recovered: AtomicU64,
-    /// WAL recoveries that found — and dropped — a torn tail frame
-    /// (what a crash mid-append leaves behind).
-    pub wal_truncations: AtomicU64,
-    /// One-pass shared evaluations run: each counts a single document
-    /// sweep that produced results for every view riding it (write-path
-    /// recompute sweeps and grouped batch evaluations alike).
-    pub shared_passes: AtomicU64,
-    /// Views whose results were produced by a shared pass instead of a
-    /// private per-view evaluation. `shared_pass_views /
-    /// shared_passes` is the average factorisation width.
-    pub shared_pass_views: AtomicU64,
-    per_method: [AtomicU64; N_METHODS],
-    per_verb: [VerbCounters; Verb::ALL.len()],
-    /// Total busy time across requests, in microseconds.
-    pub busy_micros: AtomicU64,
-    /// Per-view latency EWMAs (µs), merged lock-free by [`EwmaCell`].
-    /// The map itself is read-mostly: a view's cell is created once and
-    /// then only its atomic word changes.
-    view_latency: RwLock<HashMap<String, Arc<EwmaCell>>>,
-    /// Per-view delta-maintenance outcomes: `(retained, recomputed)`.
-    view_delta: RwLock<HashMap<String, Arc<DeltaCell>>>,
-    /// Per-document delta-maintenance outcomes: `(retained,
-    /// recomputed)` for writes *to that document*. With the result
-    /// cache keyed by per-document versions, a document's counters move
-    /// only when it is written — a hot writer shows up here alone, and
-    /// its shard neighbours' rows staying at zero is the observable
-    /// proof that neighbour invalidation is gone (there is no `stale`
-    /// counter any more because there is no stale path).
-    doc_delta: RwLock<HashMap<String, Arc<DeltaCell>>>,
-    /// Per-document element-label histograms (`label → live count`),
-    /// seeded when an in-memory document is (re)loaded and shifted
-    /// incrementally by every applied write — the selectivity raw
-    /// material `STATS` surfaces per document.
-    // lock-order: leaf mutex — nothing else is ever taken while held.
-    doc_labels: Mutex<HashMap<String, HashMap<Sym, i64>>>,
-}
-
-/// Per-view delta-maintenance counters.
+/// Per-view and per-document delta-maintenance counters.
 #[derive(Debug, Default)]
 pub struct DeltaCell {
     /// Writes this view's cached result survived (maintained in place).
@@ -274,6 +204,357 @@ pub struct DeltaCell {
     pub patched_fragments: AtomicU64,
     /// Writes that invalidated this view's cached result.
     pub recomputed: AtomicU64,
+}
+
+/// Point-in-time read of one stats counter.
+// relaxed: counters are independent monotone values; readers either
+// tolerate staleness (snapshots, reports) or re-validate with a CAS.
+fn ld(counter: &AtomicU64) -> u64 {
+    counter.load(Ordering::Relaxed) // relaxed: point-in-time read; staleness is fine
+}
+
+fn bump(counter: &AtomicU64, by: u64) {
+    counter.fetch_add(by, Ordering::Relaxed); // relaxed: monotone counter; no data published
+}
+
+/// How Prometheus types a series (its `# TYPE` line).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A monotone total.
+    Counter,
+    /// A point-in-time level.
+    Gauge,
+}
+
+impl Kind {
+    fn name(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+        }
+    }
+}
+
+/// One scalar row of the counter table.
+#[derive(Debug, Clone, Copy)]
+pub struct Scalar {
+    /// `STATS` position as `section.key`; a key with no section sits on
+    /// the first line, an empty string keeps the row out of `STATS`.
+    pub stats: &'static str,
+    /// Suffix `STATS` prints after the value.
+    pub unit: &'static str,
+    /// JSON key (empty: not in the JSON).
+    pub json: &'static str,
+    /// Prometheus name, without the `xust_` prefix.
+    pub prom: &'static str,
+    /// Prometheus kind.
+    pub kind: Kind,
+    /// The `# HELP` line.
+    pub help: &'static str,
+    /// Reads the row's value out of a snapshot.
+    pub get: fn(&StatsSnapshot) -> u64,
+}
+
+/// Declares every counter. `atomic` rows are [`ServeStats`] atomics
+/// copied by [`ServeStats::snapshot`]; `filled` rows are snapshot fields
+/// the snapshot's producer fills (the interner gauge here, the
+/// result-cache and server-wide gauges in `Server::stats`). Scalar row
+/// grammar: `field: Kind "stats.key" ["unit"], "json_key", "prom_name",
+/// "help";`. A `keyed` family is a header — `STATS` placement, JSON
+/// array, key label, sparseness, and the function reading its rows out
+/// of a snapshot — over one row per value column: `"stats_key"
+/// ["unit"], "json_key", "prom_name", Kind, "help";`.
+macro_rules! counter_table {
+    (
+        atomic { $( $a:ident: $ak:ident $as:literal $($au:literal)?, $aj:literal, $ap:literal, $ah:literal; )* }
+        filled { $( $f:ident: $fk:ident $fs:literal, $fj:literal, $fp:literal, $fh:literal; )* }
+        keyed { $(
+            $text:expr, $json:literal, $label:literal, sparse: $sparse:literal, $rows:expr => {
+                $( $cs:literal $($cu:literal)?, $cj:literal, $cp:literal, $ck:ident, $ch:literal; )*
+            }
+        )* }
+    ) => {
+        /// Counters for one [`crate::Server`]: one atomic per `atomic`
+        /// row of the counter table, plus the keyed families.
+        #[derive(Debug, Default)]
+        pub struct ServeStats {
+            $( #[doc = $ah] pub $a: AtomicU64, )*
+            per_method: [AtomicU64; N_METHODS],
+            per_verb: [VerbCounters; Verb::ALL.len()],
+            fallbacks: [AtomicU64; Fallback::ALL.len()],
+            /// Per-view latency EWMAs (µs), merged lock-free by
+            /// [`EwmaCell`]. The map itself is read-mostly: a view's
+            /// cell is created once and then only its atomic word
+            /// changes.
+            view_latency: RwLock<HashMap<String, Arc<EwmaCell>>>,
+            view_delta: RwLock<HashMap<String, Arc<DeltaCell>>>,
+            /// Per-document outcomes for writes *to that document*. With
+            /// the result cache keyed by per-document versions, a
+            /// document's row moves only when it is written — a hot
+            /// writer shows up here alone, and its shard neighbours'
+            /// rows staying absent is the observable proof that
+            /// neighbour invalidation is gone.
+            doc_delta: RwLock<HashMap<String, Arc<DeltaCell>>>,
+        }
+
+        /// A point-in-time copy of [`ServeStats`], plus the gauges
+        /// `Server::stats` fills: one field per counter-table row.
+        #[derive(Debug, Clone)]
+        pub struct StatsSnapshot {
+            $( #[doc = $ah] pub $a: u64, )*
+            $( #[doc = $fh] pub $f: u64, )*
+            /// Executions per evaluation method.
+            pub per_method: [(Method, u64); N_METHODS],
+            /// Recomputed cache entries per [`Fallback`] reason.
+            pub recompute_fallbacks: [(Fallback, u64); Fallback::ALL.len()],
+            /// Per-view latency EWMAs: `(view, samples, micros)`, sorted
+            /// by view.
+            pub view_latency: Vec<(String, u32, f32)>,
+            /// Per-view delta outcomes: `(view, retained, patched,
+            /// recomputed)`, sorted.
+            pub view_delta: Vec<(String, u64, u64, u64)>,
+            /// Per-document delta outcomes for writes to that document:
+            /// `(doc, retained, patched, patched_fragments, recomputed)`,
+            /// sorted. A document appears here iff it was written —
+            /// neighbour rows never move.
+            pub doc_delta: Vec<(String, u64, u64, u64, u64)>,
+            /// Per-verb request/error counts: `(verb, requests,
+            /// errors)` for every verb, sorted by verb name.
+            pub verbs: Vec<(Verb, u64, u64)>,
+            /// Prepared caches: `(cache, [entries, capacity, hits,
+            /// misses, evictions])` (filled by `Server::stats`).
+            pub prepared_caches: Vec<(&'static str, [u64; 5])>,
+        }
+
+        impl ServeStats {
+            /// Takes a consistent-enough snapshot for reporting.
+            /// `filled` rows other than the interner gauge read zero
+            /// until the server fills them.
+            pub fn snapshot(&self) -> StatsSnapshot {
+                let mut s = StatsSnapshot {
+                    $( $a: ld(&self.$a), )*
+                    $( $f: 0, )*
+                    per_method: Method::ALL.map(|m| (m, self.method_count(m))),
+                    recompute_fallbacks: Fallback::ALL.map(|r| (r, self.fallback_count(r))),
+                    view_latency: sorted_rows(&self.view_latency, |k, c| {
+                        c.get().map(|(n, e)| (k, n, e))
+                    }),
+                    view_delta: sorted_rows(&self.view_delta, |k, c| {
+                        Some((k, ld(&c.retained), ld(&c.patched), ld(&c.recomputed)))
+                    }),
+                    doc_delta: sorted_rows(&self.doc_delta, |k, c| {
+                        Some((
+                            k,
+                            ld(&c.retained),
+                            ld(&c.patched),
+                            ld(&c.patched_fragments),
+                            ld(&c.recomputed),
+                        ))
+                    }),
+                    verbs: {
+                        let mut v: Vec<(Verb, u64, u64)> = Verb::ALL
+                            .iter()
+                            .map(|&verb| {
+                                let (r, e) = self.verb_counts(verb);
+                                (verb, r, e)
+                            })
+                            .collect();
+                        v.sort_by_key(|row| row.0.name());
+                        v
+                    },
+                    prepared_caches: Vec::new(),
+                };
+                s.interned_labels = xust_intern::Interner::global().len() as u64;
+                s
+            }
+        }
+
+        /// The scalar rows of the counter table, in table order.
+        pub const SCALARS: &[Scalar] = &[
+            $( Scalar {
+                stats: $as,
+                unit: concat!("" $(, $au)?),
+                json: $aj,
+                prom: $ap,
+                kind: Kind::$ak,
+                help: $ah,
+                get: |s| s.$a,
+            }, )*
+            $( Scalar {
+                stats: $fs,
+                unit: "",
+                json: $fj,
+                prom: $fp,
+                kind: Kind::$fk,
+                help: $fh,
+                get: |s| s.$f,
+            }, )*
+        ];
+
+        /// The keyed families of the counter table, in rendering order.
+        pub const FAMILIES: &[Family] = &[ $( Family {
+            text: $text,
+            json: $json,
+            label: $label,
+            sparse: $sparse,
+            cols: &[ $( Col {
+                stats: $cs,
+                unit: concat!("" $(, $cu)?),
+                json: $cj,
+                prom: $cp,
+                kind: Kind::$ck,
+                help: $ch,
+            }, )* ],
+            rows: $rows,
+        }, )* ];
+    };
+}
+
+counter_table! {
+    atomic {
+        requests: Counter "requests", "requests", "requests_total", "Requests accepted (all kinds).";
+        failures: Counter "failures", "failures", "failures_total", "Requests that returned an error.";
+        view_requests: Counter "views", "view_requests", "view_requests_total", "View materializations served.";
+        query_requests: Counter "queries", "query_requests", "query_requests_total", "User queries answered against a virtual view.";
+        transform_requests: Counter "transforms", "transform_requests", "transform_requests_total", "Ad-hoc transform executions.";
+        cache_hits: Counter "cache.hits", "cache_hits", "prepared_cache_hits_total", "Prepared-cache hits (transform or composed query reused).";
+        cache_misses: Counter "cache.misses", "cache_misses", "prepared_cache_misses_total", "Prepared-cache misses (entry had to be built).";
+        compiles: Counter "cache.compiles", "compiles", "compiles_total", "Transform parse + NFA compilations performed.";
+        compositions: Counter "cache.compositions", "compositions", "compositions_total", "User-query compositions performed.";
+        batches: Counter "batches.runs", "batches", "batches_total", "Batched entry-point invocations.";
+        batch_items: Counter "batches.items", "batch_items", "batch_items_total", "Items executed through batched entry points.";
+        batch_steals: Counter "batches.steals", "batch_steals", "batch_steals_total", "Work-stealing events across batch executions.";
+        stream_sessions: Counter "batches.stream_sessions", "stream_sessions", "stream_sessions_total", "Streaming sessions opened.";
+        update_requests: Counter "updates.accepted", "update_requests", "update_requests_total", "Live UPDATE writes accepted (applied and installed).";
+        delta_retained: Counter "updates.delta_retained", "delta_retained", "delta_retained_total", "View-result cache entries retained across a write (delta applied in place).";
+        delta_patched: Counter "updates.delta_patched", "delta_patched", "patched_total", "Entries that failed the relevance test but were patched in place through their provenance maps.";
+        patched_fragments: Counter "updates.patched_fragments", "patched_fragments", "patched_fragments_total", "Result fragments spliced across all patch fates.";
+        delta_recomputed: Counter "updates.delta_recomputed", "delta_recomputed", "delta_recomputed_total", "View-result cache entries invalidated by a write (recomputed).";
+        wal_recovered: Counter "wal.recovered", "wal_recovered", "wal_recovered_total", "Intact write-ahead-log records replayed at attach time.";
+        wal_truncations: Counter "wal.truncations", "wal_truncations", "wal_truncations_total", "WAL recoveries that dropped a torn tail frame.";
+        shared_passes: Counter "shared.passes", "shared_passes", "shared_passes_total", "One-pass shared evaluations run (one document sweep for every view riding it).";
+        shared_pass_views: Counter "shared.shared_pass_views", "shared_pass_views", "shared_pass_views_total", "Views whose results rode a shared pass instead of a private evaluation.";
+        busy_micros: Counter "methods.busy" "µs", "busy_micros", "busy_micros_total", "Total busy time across requests, in microseconds.";
+    }
+    filled {
+        interned_labels: Gauge "cache.interned_labels", "interned_labels", "interned_labels", "Distinct labels in the shared interner (it never shrinks).";
+        result_hits: Counter "updates.result_hits", "result_hits", "result_cache_hits_total", "View-result cache hits.";
+        result_misses: Counter "updates.result_misses", "result_misses", "result_cache_misses_total", "View-result cache misses.";
+        executor_in_flight: Gauge "", "", "executor_in_flight", "Jobs running on the worker pool.";
+        executor_threads: Gauge "", "", "executor_threads", "Worker pool threads.";
+        store_active_snapshots: Gauge "", "", "store_active_snapshots", "Store snapshots currently pinned.";
+        store_snapshots: Counter "", "", "store_snapshots_total", "Store snapshots taken.";
+        store_shards: Gauge "", "", "store_shards", "Document store shards.";
+        store_docs: Gauge "", "", "store_docs", "Documents loaded.";
+        result_cache_entries: Gauge "", "", "result_cache_entries", "View-result cache entries.";
+        result_cache_docs: Gauge "", "", "result_cache_docs", "Documents with a view-result cache shard.";
+        views_registered: Gauge "", "", "views_registered", "Registered views.";
+        requests_traced: Counter "", "", "requests_traced_total", "Requests traced.";
+    }
+    keyed {
+        Text::Inline("methods"), "per_method", "method", sparse: true, |s| s.per_method.iter().map(|&(m, n)| (m.to_string(), vec![N(n)])).collect() => {
+            "", "count", "method_executions_total", Counter, "Executions per evaluation method.";
+        }
+        Text::Inline("recompute"), "recompute_fallback", "reason", sparse: false, |s| s.recompute_fallbacks.iter().map(|&(r, n)| (r.name().into(), vec![N(n)])).collect() => {
+            "", "count", "recompute_fallback_total", Counter, "Recomputed cache entries by the reason the patch fate was not taken.";
+        }
+        Text::Lines("view"), "view_latency", "view", sparse: false, |s| s.view_latency.iter().map(|(v, n, e)| (v.clone(), vec![F(*e), N(u64::from(*n))])).collect() => {
+            "ewma" "µs", "ewma_micros", "view_latency_ewma_micros", Gauge, "Per-view service latency EWMA, in microseconds.";
+            "samples", "samples", "view_latency_samples_total", Counter, "Per-view latency samples folded into the EWMA.";
+        }
+        Text::Lines("view"), "view_delta", "view", sparse: false, |s| s.view_delta.iter().map(|(v, r, p, c)| (v.clone(), vec![N(*r), N(*p), N(*c)])).collect() => {
+            "delta_retained", "retained", "view_delta_retained_total", Counter, "Writes this view's cached results survived.";
+            "delta_patched", "patched", "view_delta_patched_total", Counter, "Writes this view's cached results absorbed through a provenance patch.";
+            "delta_recomputed", "recomputed", "view_delta_recomputed_total", Counter, "Writes that invalidated this view's cached results.";
+        }
+        Text::Lines("doc"), "doc_delta", "doc", sparse: false, |s| s.doc_delta.iter().map(|(d, r, p, f, c)| (d.clone(), vec![N(*r), N(*p), N(*f), N(*c)])).collect() => {
+            "delta_retained", "retained", "doc_delta_retained_total", Counter, "Cached entries of this document retained across its writes.";
+            "delta_patched", "patched", "doc_delta_patched_total", Counter, "Cached entries of this document patched in place by its writes.";
+            "patched_fragments", "patched_fragments", "doc_patched_fragments_total", Counter, "Result fragments spliced into this document's cached entries.";
+            "delta_recomputed", "recomputed", "doc_delta_recomputed_total", Counter, "Cached entries of this document dropped by its writes.";
+        }
+        Text::Lines("verb"), "verbs", "verb", sparse: true, |s| s.verbs.iter().map(|&(v, r, e)| (v.name().into(), vec![N(r), N(e)])).collect() => {
+            "requests", "requests", "verb_requests_total", Counter, "Requests per protocol verb.";
+            "errors", "errors", "verb_errors_total", Counter, "Failed requests per protocol verb.";
+        }
+        Text::Hidden, "", "cache", sparse: false, |s| s.prepared_caches.iter().map(|(c, v)| (c.to_string(), v.map(N).to_vec())).collect() => {
+            "", "", "prepared_cache_entries", Gauge, "Prepared-cache entries.";
+            "", "", "prepared_cache_capacity", Gauge, "Prepared-cache capacity.";
+            "", "", "prepared_cache_hits", Counter, "Prepared-cache hits, per cache.";
+            "", "", "prepared_cache_misses", Counter, "Prepared-cache misses, per cache.";
+            "", "", "prepared_cache_evictions", Counter, "Prepared-cache evictions, per cache.";
+        }
+    }
+}
+
+/// One value of a keyed row: counters are integers, EWMAs are not.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Val {
+    /// A count.
+    N(u64),
+    /// A smoothed measurement.
+    F(f32),
+}
+
+impl Val {
+    /// Renders with `digits` decimals for [`Val::F`] (counts are exact).
+    fn render(self, out: &mut String, digits: usize) {
+        let _ = match self {
+            Val::N(n) => write!(out, "{n}"),
+            Val::F(x) => write!(out, "{x:.digits$}"),
+        };
+    }
+}
+
+/// One row of a keyed family: the key and one value per column.
+pub type KeyedRow = (String, Vec<Val>);
+
+/// Where `STATS` puts a keyed family.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Text {
+    /// Not in `STATS`.
+    Hidden,
+    /// `key=value` tokens on the `section:` line, ahead of the scalars
+    /// that share it (single-column families only).
+    Inline(&'static str),
+    /// One `prefix <key>: col=value …` line per row.
+    Lines(&'static str),
+}
+
+/// One value column of a keyed family.
+#[derive(Debug, Clone, Copy)]
+pub struct Col {
+    /// `STATS` key (unused by [`Text::Inline`] families).
+    pub stats: &'static str,
+    /// Suffix `STATS` prints after the value.
+    pub unit: &'static str,
+    /// JSON key.
+    pub json: &'static str,
+    /// Prometheus name, without the `xust_` prefix.
+    pub prom: &'static str,
+    /// Prometheus kind.
+    pub kind: Kind,
+    /// The `# HELP` line.
+    pub help: &'static str,
+}
+
+/// One keyed family of the counter table.
+#[derive(Debug, Clone, Copy)]
+pub struct Family {
+    /// `STATS` placement.
+    pub text: Text,
+    /// JSON array name (empty: not in the JSON).
+    pub json: &'static str,
+    /// The key's name: JSON key and Prometheus label.
+    pub label: &'static str,
+    /// A closed key set whose all-zero rows `STATS` and the JSON omit.
+    /// `METRICS` renders every row of every family, so a scraper sees a
+    /// stable schema from the first scrape.
+    pub sparse: bool,
+    /// Value columns, in row order.
+    pub cols: &'static [Col],
+    /// Reads the rows out of a snapshot.
+    pub rows: fn(&StatsSnapshot) -> Vec<KeyedRow>,
 }
 
 /// New-sample weight for the per-view latency EWMA.
@@ -291,15 +572,18 @@ fn cell_of<T: Default>(map: &RwLock<HashMap<String, Arc<T>>>, key: &str) -> Arc<
     Arc::clone(map.entry(key.to_string()).or_default())
 }
 
-/// One histogram row in reporting order: count descending, then label
-/// ascending (stable output for tests and operators alike).
-fn sorted_labels(hist: &HashMap<Sym, i64>) -> Vec<(String, i64)> {
-    let mut v: Vec<(String, i64)> = hist
-        .iter()
-        .map(|(l, &n)| (l.as_str().to_string(), n))
-        .collect();
-    v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    v
+/// A keyed map's rows in key order, as `read` shapes them; cells for
+/// which `read` yields nothing are skipped.
+fn sorted_rows<T, R>(
+    map: &RwLock<HashMap<String, Arc<T>>>,
+    read: impl Fn(String, &T) -> Option<R>,
+) -> Vec<R> {
+    let map = map.read().expect("stats lock poisoned");
+    let mut keys: Vec<&String> = map.keys().collect();
+    keys.sort();
+    keys.into_iter()
+        .filter_map(|k| read(k.clone(), &map[k]))
+        .collect()
 }
 
 impl ServeStats {
@@ -319,31 +603,34 @@ impl ServeStats {
             .and_then(|c| c.get())
     }
 
-    /// Records one delta-maintenance outcome for `view` (and the global
-    /// totals): `retained == true` means the cached result survived the
-    /// write, `false` that it was dropped for lazy recomputation.
-    pub fn record_view_delta(&self, view: &str, retained: bool) {
-        if retained {
-            self.delta_retained.fetch_add(1, Ordering::Relaxed); // relaxed: monotone counter; no data published
-        } else {
-            self.delta_recomputed.fetch_add(1, Ordering::Relaxed); // relaxed: monotone counter; no data published
-        }
-        let cell = cell_of(&self.view_delta, view);
-        if retained {
-            cell.retained.fetch_add(1, Ordering::Relaxed); // relaxed: monotone counter; no data published
-        } else {
-            cell.recomputed.fetch_add(1, Ordering::Relaxed); // relaxed: monotone counter; no data published
-        }
+    /// Records that `view`'s cached result survived a write (and the
+    /// global total).
+    pub fn record_view_retained(&self, view: &str) {
+        bump(&self.delta_retained, 1);
+        bump(&cell_of(&self.view_delta, view).retained, 1);
     }
 
     /// Records one patch-fate outcome for `view` (and the global
     /// total): the view's cached result failed the relevance test but
     /// was spliced in place through its provenance map.
     pub fn record_view_patched(&self, view: &str) {
-        self.delta_patched.fetch_add(1, Ordering::Relaxed); // relaxed: monotone counter; no data published
-        cell_of(&self.view_delta, view)
-            .patched
-            .fetch_add(1, Ordering::Relaxed); // relaxed: monotone counter; no data published
+        bump(&self.delta_patched, 1);
+        bump(&cell_of(&self.view_delta, view).patched, 1);
+    }
+
+    /// Records that a write dropped `view`'s cached result for
+    /// recomputation because the patch fate was ineligible for reason
+    /// `why` (and the global and per-reason totals, so the reasons
+    /// always sum to `delta_recomputed`).
+    pub fn record_view_recomputed(&self, view: &str, why: Fallback) {
+        bump(&self.delta_recomputed, 1);
+        bump(&self.fallbacks[why as usize], 1);
+        bump(&cell_of(&self.view_delta, view).recomputed, 1);
+    }
+
+    /// Recomputations recorded with reason `why`.
+    pub fn fallback_count(&self, why: Fallback) -> u64 {
+        ld(&self.fallbacks[why as usize])
     }
 
     /// The delta counters for `view`: `(retained, patched, recomputed)`,
@@ -370,27 +657,21 @@ impl ServeStats {
         recomputed: u64,
     ) {
         let cell = cell_of(&self.doc_delta, doc);
-        cell.retained.fetch_add(retained, Ordering::Relaxed); // relaxed: monotone counter; no data published
-        cell.patched.fetch_add(patched, Ordering::Relaxed); // relaxed: monotone counter; no data published
-        cell.patched_fragments
-            .fetch_add(patched_fragments, Ordering::Relaxed); // relaxed: monotone counter; no data published
-        cell.recomputed.fetch_add(recomputed, Ordering::Relaxed); // relaxed: monotone counter; no data published
+        bump(&cell.retained, retained);
+        bump(&cell.patched, patched);
+        bump(&cell.patched_fragments, patched_fragments);
+        bump(&cell.recomputed, recomputed);
     }
 
-    /// Drops `doc`'s per-document delta row and label histogram. Called
-    /// when the document is removed from the store: without this, a
-    /// server with document-name churn (load → write → remove cycles)
-    /// accumulates one permanent row per ever-written name — unbounded
-    /// memory and an ever-growing `STATS` reply. A re-created name
-    /// starts a fresh row (its versions are a new lineage; so are its
-    /// counters).
+    /// Drops `doc`'s per-document delta row. Called when the document
+    /// is removed from the store: without this, a server with
+    /// document-name churn (load → write → remove cycles) accumulates
+    /// one permanent row per ever-written name — unbounded memory and
+    /// an ever-growing `STATS` reply. A re-created name starts a fresh
+    /// row (its versions are a new lineage; so are its counters).
     pub fn forget_doc(&self, doc: &str) {
         self.doc_delta
             .write()
-            .expect("stats lock poisoned")
-            .remove(doc);
-        self.doc_labels
-            .lock()
             .expect("stats lock poisoned")
             .remove(doc);
     }
@@ -413,52 +694,13 @@ impl ServeStats {
             })
     }
 
-    /// Installs `doc`'s label histogram wholesale — called when an
-    /// in-memory document is loaded or reloaded (a reload is an
-    /// unbounded delta; the seed is the new ground truth).
-    pub fn seed_doc_labels(&self, doc: &str, hist: HashMap<Sym, i64>) {
-        self.doc_labels
-            .lock()
-            .expect("stats lock poisoned")
-            .insert(doc.to_string(), hist);
-    }
-
-    /// Folds one write's label-count shift into `doc`'s histogram;
-    /// labels whose count returns to zero are dropped from the row. A
-    /// shift for a document that was never seeded (file-backed, or
-    /// racing a removal) is discarded — there is no ground truth to
-    /// shift.
-    pub fn shift_doc_labels(&self, doc: &str, delta: &HashMap<Sym, i64>) {
-        let mut map = self.doc_labels.lock().expect("stats lock poisoned");
-        let Some(hist) = map.get_mut(doc) else {
-            return;
-        };
-        for (&label, &d) in delta {
-            if d == 0 {
-                continue;
-            }
-            let slot = hist.entry(label).or_insert(0);
-            *slot += d;
-            if *slot == 0 {
-                hist.remove(&label);
-            }
-        }
-    }
-
-    /// `doc`'s element-label histogram, sorted by count descending then
-    /// label ascending — `None` when the document was never seeded.
-    pub fn doc_labels(&self, doc: &str) -> Option<Vec<(String, i64)>> {
-        let map = self.doc_labels.lock().expect("stats lock poisoned");
-        map.get(doc).map(sorted_labels)
-    }
-
     /// Records one request under `verb`; `ok == false` also bumps the
     /// verb's error counter.
     pub fn record_verb(&self, verb: Verb, ok: bool) {
         let cell = &self.per_verb[verb.index()];
-        cell.requests.fetch_add(1, Ordering::Relaxed); // relaxed: monotone counter; no data published
+        bump(&cell.requests, 1);
         if !ok {
-            cell.errors.fetch_add(1, Ordering::Relaxed); // relaxed: monotone counter; no data published
+            bump(&cell.errors, 1);
         }
     }
 
@@ -470,280 +712,12 @@ impl ServeStats {
 
     /// Records one execution with `method`.
     pub fn count_method(&self, m: Method) {
-        self.per_method[method_index(m)].fetch_add(1, Ordering::Relaxed); // relaxed: monotone counter; no data published
+        bump(&self.per_method[method_index(m)], 1);
     }
 
     /// Executions recorded for `method`.
     pub fn method_count(&self, m: Method) -> u64 {
         ld(&self.per_method[method_index(m)])
-    }
-
-    /// Takes a consistent-enough snapshot for reporting.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            requests: ld(&self.requests),
-            failures: ld(&self.failures),
-            cache_hits: ld(&self.cache_hits),
-            cache_misses: ld(&self.cache_misses),
-            compiles: ld(&self.compiles),
-            compositions: ld(&self.compositions),
-            view_requests: ld(&self.view_requests),
-            query_requests: ld(&self.query_requests),
-            transform_requests: ld(&self.transform_requests),
-            batches: ld(&self.batches),
-            batch_items: ld(&self.batch_items),
-            batch_steals: ld(&self.batch_steals),
-            interned_labels: xust_intern::Interner::global().len(),
-            stream_sessions: ld(&self.stream_sessions),
-            update_requests: ld(&self.update_requests),
-            delta_retained: ld(&self.delta_retained),
-            delta_patched: ld(&self.delta_patched),
-            patched_fragments: ld(&self.patched_fragments),
-            delta_recomputed: ld(&self.delta_recomputed),
-            wal_recovered: ld(&self.wal_recovered),
-            wal_truncations: ld(&self.wal_truncations),
-            shared_passes: ld(&self.shared_passes),
-            shared_pass_views: ld(&self.shared_pass_views),
-            // The result cache is its own source of truth for hit/miss
-            // counts; `Server::stats` overlays them (a bare `ServeStats`
-            // has no cache attached).
-            result_hits: 0,
-            result_misses: 0,
-            busy_micros: ld(&self.busy_micros),
-            per_method: Method::ALL.map(|m| (m, self.method_count(m))),
-            verbs: {
-                let mut v: Vec<(Verb, u64, u64)> = Verb::ALL
-                    .iter()
-                    .map(|&verb| {
-                        let (r, e) = self.verb_counts(verb);
-                        (verb, r, e)
-                    })
-                    .filter(|&(_, r, e)| r > 0 || e > 0)
-                    .collect();
-                v.sort_by(|a, b| a.0.name().cmp(b.0.name()));
-                v
-            },
-            view_delta: {
-                let map = self.view_delta.read().expect("stats lock poisoned");
-                let mut v: Vec<(String, u64, u64, u64)> = map
-                    .iter()
-                    .map(|(k, c)| {
-                        (
-                            k.clone(),
-                            ld(&c.retained),
-                            ld(&c.patched),
-                            ld(&c.recomputed),
-                        )
-                    })
-                    .collect();
-                v.sort_by(|a, b| a.0.cmp(&b.0));
-                v
-            },
-            doc_delta: {
-                let map = self.doc_delta.read().expect("stats lock poisoned");
-                let mut v: Vec<(String, u64, u64, u64, u64)> = map
-                    .iter()
-                    .map(|(k, c)| {
-                        (
-                            k.clone(),
-                            ld(&c.retained),
-                            ld(&c.patched),
-                            ld(&c.patched_fragments),
-                            ld(&c.recomputed),
-                        )
-                    })
-                    .collect();
-                v.sort_by(|a, b| a.0.cmp(&b.0));
-                v
-            },
-            doc_labels: {
-                let map = self.doc_labels.lock().expect("stats lock poisoned");
-                let mut v: Vec<(String, Vec<(String, i64)>)> = map
-                    .iter()
-                    .map(|(doc, hist)| (doc.clone(), sorted_labels(hist)))
-                    .collect();
-                v.sort_by(|a, b| a.0.cmp(&b.0));
-                v
-            },
-            view_latency: {
-                let map = self.view_latency.read().expect("stats lock poisoned");
-                let mut v: Vec<(String, u32, f32)> = map
-                    .iter()
-                    .filter_map(|(k, c)| c.get().map(|(n, e)| (k.clone(), n, e)))
-                    .collect();
-                v.sort_by(|a, b| a.0.cmp(&b.0));
-                v
-            },
-        }
-    }
-}
-
-/// A point-in-time copy of [`ServeStats`].
-#[derive(Debug, Clone)]
-pub struct StatsSnapshot {
-    /// Requests accepted.
-    pub requests: u64,
-    /// Requests that errored.
-    pub failures: u64,
-    /// Prepared-cache hits.
-    pub cache_hits: u64,
-    /// Prepared-cache misses.
-    pub cache_misses: u64,
-    /// Parse + NFA compilations performed.
-    pub compiles: u64,
-    /// Compositions performed.
-    pub compositions: u64,
-    /// View materializations.
-    pub view_requests: u64,
-    /// Virtual-view queries.
-    pub query_requests: u64,
-    /// Ad-hoc transforms.
-    pub transform_requests: u64,
-    /// Batch invocations.
-    pub batches: u64,
-    /// Items executed through batched entry points.
-    pub batch_items: u64,
-    /// Work-stealing events across batch executions.
-    pub batch_steals: u64,
-    /// Distinct labels in the shared interner at snapshot time — the
-    /// vocabulary-growth gauge an operator watches when untrusted
-    /// documents can mint fresh element/attribute names (the interner
-    /// never shrinks; see DESIGN.md "Interning").
-    pub interned_labels: usize,
-    /// Streaming sessions opened.
-    pub stream_sessions: u64,
-    /// Live `UPDATE` writes accepted.
-    pub update_requests: u64,
-    /// View-result cache entries retained across writes (maintained in
-    /// place — the delta-aware win).
-    pub delta_retained: u64,
-    /// Entries that failed the relevance test but were patched in place
-    /// through their provenance maps (the third maintenance fate).
-    pub delta_patched: u64,
-    /// Result fragments spliced across all patch fates.
-    pub patched_fragments: u64,
-    /// View-result cache entries invalidated by writes.
-    pub delta_recomputed: u64,
-    /// Intact WAL records replayed at attach time.
-    pub wal_recovered: u64,
-    /// WAL recoveries that dropped a torn tail.
-    pub wal_truncations: u64,
-    /// One-pass shared evaluations run (factorised sweeps).
-    pub shared_passes: u64,
-    /// Views whose results rode a shared pass.
-    pub shared_pass_views: u64,
-    /// View-result cache hits (sourced from
-    /// [`ViewResultCache`](crate::ViewResultCache) by `Server::stats`).
-    pub result_hits: u64,
-    /// View-result cache misses (sourced likewise).
-    pub result_misses: u64,
-    /// Total busy time (µs).
-    pub busy_micros: u64,
-    /// Executions per evaluation method.
-    pub per_method: [(Method, u64); N_METHODS],
-    /// Per-verb request/error counts: `(verb, requests, errors)`,
-    /// sorted by verb name, verbs with no traffic omitted.
-    pub verbs: Vec<(Verb, u64, u64)>,
-    /// Per-view latency EWMAs: `(view, samples, micros)`, sorted by view.
-    pub view_latency: Vec<(String, u32, f32)>,
-    /// Per-view delta outcomes: `(view, retained, patched,
-    /// recomputed)`, sorted.
-    pub view_delta: Vec<(String, u64, u64, u64)>,
-    /// Per-document delta outcomes for writes to that document: `(doc,
-    /// retained, patched, patched_fragments, recomputed)`, sorted. A
-    /// document appears here iff it was written — neighbour rows never
-    /// move.
-    pub doc_delta: Vec<(String, u64, u64, u64, u64)>,
-    /// Per-document element-label histograms: `(doc, [(label, count)])`
-    /// sorted by document, rows sorted by count descending then label.
-    /// Only seeded (in-memory) documents appear.
-    pub doc_labels: Vec<(String, Vec<(String, i64)>)>,
-}
-
-impl std::fmt::Display for StatsSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "requests={} failures={} views={} queries={} transforms={} batches={}",
-            self.requests,
-            self.failures,
-            self.view_requests,
-            self.query_requests,
-            self.transform_requests,
-            self.batches
-        )?;
-        writeln!(
-            f,
-            "cache: hits={} misses={} compiles={} compositions={} interned_labels={}",
-            self.cache_hits,
-            self.cache_misses,
-            self.compiles,
-            self.compositions,
-            self.interned_labels
-        )?;
-        writeln!(
-            f,
-            "batches: runs={} items={} steals={} stream_sessions={}",
-            self.batches, self.batch_items, self.batch_steals, self.stream_sessions
-        )?;
-        writeln!(
-            f,
-            "updates: accepted={} delta_retained={} delta_patched={} patched_fragments={} delta_recomputed={} result_hits={} result_misses={}",
-            self.update_requests,
-            self.delta_retained,
-            self.delta_patched,
-            self.patched_fragments,
-            self.delta_recomputed,
-            self.result_hits,
-            self.result_misses
-        )?;
-        writeln!(
-            f,
-            "wal: recovered={} truncations={}",
-            self.wal_recovered, self.wal_truncations
-        )?;
-        writeln!(
-            f,
-            "shared: passes={} shared_pass_views={}",
-            self.shared_passes, self.shared_pass_views
-        )?;
-        write!(f, "methods:")?;
-        for (m, n) in &self.per_method {
-            if *n > 0 {
-                write!(f, " {m}={n}")?;
-            }
-        }
-        write!(f, " busy={}µs", self.busy_micros)?;
-        for (view, n, ewma) in &self.view_latency {
-            write!(f, "\nview {view}: ewma={ewma:.0}µs samples={n}")?;
-        }
-        for (view, retained, patched, recomputed) in &self.view_delta {
-            write!(
-                f,
-                "\nview {view}: delta_retained={retained} delta_patched={patched} delta_recomputed={recomputed}"
-            )?;
-        }
-        for (doc, retained, patched, fragments, recomputed) in &self.doc_delta {
-            write!(
-                f,
-                "\ndoc {doc}: delta_retained={retained} delta_patched={patched} patched_fragments={fragments} delta_recomputed={recomputed}"
-            )?;
-        }
-        for (doc, labels) in &self.doc_labels {
-            write!(f, "\ndoc {doc} labels:")?;
-            // The busiest labels carry the selectivity signal; a long
-            // tail of one-offs would drown the reply.
-            for (label, count) in labels.iter().take(12) {
-                write!(f, " {label}={count}")?;
-            }
-            if labels.len() > 12 {
-                write!(f, " (+{} more)", labels.len() - 12)?;
-            }
-        }
-        for (verb, requests, errors) in &self.verbs {
-            write!(f, "\nverb {verb}: requests={requests} errors={errors}")?;
-        }
-        Ok(())
     }
 }
 
@@ -764,143 +738,155 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
+/// Escapes `s` for a Prometheus label value (`\`, `"` and newline).
+fn prom_escape(s: &str) -> String {
+    s.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
+}
+
+/// Rows of `fam` that `STATS` and the JSON show.
+fn shown(fam: &Family, rows: Vec<KeyedRow>) -> impl Iterator<Item = KeyedRow> {
+    let sparse = fam.sparse;
+    rows.into_iter()
+        .filter(move |(_, vals)| !sparse || vals.iter().any(|&v| v != N(0)))
+}
+
+/// The `STATS` reply: one `section: key=value …` line per scalar
+/// section (the first line has no section), single-column families
+/// inline on their section's line, then one line per keyed row.
+impl std::fmt::Display for StatsSnapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        fn line<'a>(
+            sections: &'a mut Vec<(&'static str, String)>,
+            sec: &'static str,
+        ) -> &'a mut String {
+            let i = match sections.iter().position(|(s, _)| *s == sec) {
+                Some(i) => i,
+                None => {
+                    sections.push((sec, String::new()));
+                    sections.len() - 1
+                }
+            };
+            &mut sections[i].1
+        }
+        let mut sections: Vec<(&'static str, String)> = Vec::new();
+        for row in SCALARS.iter().filter(|r| !r.stats.is_empty()) {
+            let (sec, key) = row.stats.split_once('.').unwrap_or(("", row.stats));
+            let _ = write!(
+                line(&mut sections, sec),
+                " {key}={}{}",
+                (row.get)(self),
+                row.unit
+            );
+        }
+        let mut lines = String::new();
+        for fam in FAMILIES {
+            match fam.text {
+                Text::Hidden => {}
+                Text::Inline(sec) => {
+                    let mut tokens = String::new();
+                    for (key, vals) in shown(fam, (fam.rows)(self)) {
+                        let _ = write!(tokens, " {key}=");
+                        vals[0].render(&mut tokens, 0);
+                        tokens.push_str(fam.cols[0].unit);
+                    }
+                    line(&mut sections, sec).insert_str(0, &tokens);
+                }
+                Text::Lines(prefix) => {
+                    for (key, vals) in shown(fam, (fam.rows)(self)) {
+                        let _ = write!(lines, "\n{prefix} {key}:");
+                        for (c, v) in fam.cols.iter().zip(vals) {
+                            let _ = write!(lines, " {}=", c.stats);
+                            v.render(&mut lines, 0);
+                            lines.push_str(c.unit);
+                        }
+                    }
+                }
+            }
+        }
+        for (i, (sec, tokens)) in sections.iter().enumerate() {
+            if i > 0 {
+                f.write_str("\n")?;
+            }
+            if sec.is_empty() {
+                f.write_str(tokens.trim_start())?;
+            } else {
+                write!(f, "{sec}:{tokens}")?;
+            }
+        }
+        f.write_str(&lines)
+    }
+}
+
 impl StatsSnapshot {
-    /// Renders the snapshot as one JSON object (stable key order, no
-    /// trailing newline). The workspace deliberately has no serde; the
+    /// Renders the snapshot as one JSON object (no trailing newline):
+    /// every scalar row with a JSON key, then one array of row objects
+    /// per keyed family. The workspace deliberately has no serde; the
     /// shape is flat enough that hand-rolling stays honest.
     pub fn render_json(&self) -> String {
-        use std::fmt::Write;
         let mut s = String::with_capacity(1024);
         s.push('{');
-        let _ = write!(
-            s,
-            "\"requests\":{},\"failures\":{},\"cache_hits\":{},\"cache_misses\":{},\
-             \"compiles\":{},\"compositions\":{},\"view_requests\":{},\"query_requests\":{},\
-             \"transform_requests\":{},\"batches\":{},\"batch_items\":{},\"batch_steals\":{},\
-             \"interned_labels\":{},\"stream_sessions\":{},\"update_requests\":{},\
-             \"delta_retained\":{},\"delta_patched\":{},\"patched_fragments\":{},\
-             \"delta_recomputed\":{},\"wal_recovered\":{},\"wal_truncations\":{},\
-             \"shared_passes\":{},\
-             \"shared_pass_views\":{},\"result_hits\":{},\
-             \"result_misses\":{},\"busy_micros\":{}",
-            self.requests,
-            self.failures,
-            self.cache_hits,
-            self.cache_misses,
-            self.compiles,
-            self.compositions,
-            self.view_requests,
-            self.query_requests,
-            self.transform_requests,
-            self.batches,
-            self.batch_items,
-            self.batch_steals,
-            self.interned_labels,
-            self.stream_sessions,
-            self.update_requests,
-            self.delta_retained,
-            self.delta_patched,
-            self.patched_fragments,
-            self.delta_recomputed,
-            self.wal_recovered,
-            self.wal_truncations,
-            self.shared_passes,
-            self.shared_pass_views,
-            self.result_hits,
-            self.result_misses,
-            self.busy_micros
-        );
-        s.push_str(",\"per_method\":[");
-        let mut first = true;
-        for (m, n) in &self.per_method {
-            if *n == 0 {
-                continue;
-            }
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let _ = write!(
-                s,
-                "{{\"method\":\"{}\",\"count\":{n}}}",
-                json_escape(&m.to_string())
-            );
+        for row in SCALARS.iter().filter(|r| !r.json.is_empty()) {
+            let _ = write!(s, "\"{}\":{},", row.json, (row.get)(self));
         }
-        s.push_str("],\"verbs\":[");
-        for (i, (verb, requests, errors)) in self.verbs.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"verb\":\"{verb}\",\"requests\":{requests},\"errors\":{errors}}}"
-            );
-        }
-        s.push_str("],\"view_latency\":[");
-        for (i, (view, n, ewma)) in self.view_latency.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"view\":\"{}\",\"samples\":{n},\"ewma_micros\":{:.1}}}",
-                json_escape(view),
-                ewma
-            );
-        }
-        s.push_str("],\"view_delta\":[");
-        for (i, (view, retained, patched, recomputed)) in self.view_delta.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"view\":\"{}\",\"retained\":{retained},\"patched\":{patched},\
-                 \"recomputed\":{recomputed}}}",
-                json_escape(view)
-            );
-        }
-        s.push_str("],\"doc_delta\":[");
-        for (i, (doc, retained, patched, fragments, recomputed)) in
-            self.doc_delta.iter().enumerate()
-        {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"doc\":\"{}\",\"retained\":{retained},\"patched\":{patched},\
-                 \"patched_fragments\":{fragments},\"recomputed\":{recomputed}}}",
-                json_escape(doc)
-            );
-        }
-        s.push_str("],\"doc_labels\":[");
-        for (i, (doc, labels)) in self.doc_labels.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{{\"doc\":\"{}\",\"labels\":[", json_escape(doc));
-            for (j, (label, count)) in labels.iter().enumerate() {
-                if j > 0 {
+        for fam in FAMILIES.iter().filter(|f| !f.json.is_empty()) {
+            let _ = write!(s, "\"{}\":[", fam.json);
+            for (i, (key, vals)) in shown(fam, (fam.rows)(self)).enumerate() {
+                if i > 0 {
                     s.push(',');
                 }
-                let _ = write!(
-                    s,
-                    "{{\"label\":\"{}\",\"count\":{count}}}",
-                    json_escape(label)
-                );
+                let _ = write!(s, "{{\"{}\":\"{}\"", fam.label, json_escape(&key));
+                for (c, v) in fam.cols.iter().zip(vals) {
+                    let _ = write!(s, ",\"{}\":", c.json);
+                    v.render(&mut s, 1);
+                }
+                s.push('}');
             }
-            s.push_str("]}");
+            s.push_str("],");
         }
-        s.push_str("]}");
+        s.pop();
+        s.push('}');
         s
+    }
+
+    /// Renders the Prometheus text exposition of every row: `# HELP`
+    /// and `# TYPE` for each metric, then `xust_<name>{label="key"}
+    /// value` lines (no labels for scalars).
+    pub fn render_prometheus(&self) -> String {
+        let mut out = String::with_capacity(8192);
+        fn head(out: &mut String, name: &str, kind: Kind, help: &str) {
+            let _ = writeln!(out, "# HELP xust_{name} {help}");
+            let _ = writeln!(out, "# TYPE xust_{name} {}", kind.name());
+        }
+        for row in SCALARS {
+            head(&mut out, row.prom, row.kind, row.help);
+            let _ = writeln!(out, "xust_{} {}", row.prom, (row.get)(self));
+        }
+        for fam in FAMILIES {
+            let rows = (fam.rows)(self);
+            for (i, c) in fam.cols.iter().enumerate() {
+                head(&mut out, c.prom, c.kind, c.help);
+                for (key, vals) in &rows {
+                    let _ = write!(
+                        out,
+                        "xust_{}{{{}=\"{}\"}} ",
+                        c.prom,
+                        fam.label,
+                        prom_escape(key)
+                    );
+                    vals[i].render(&mut out, 1);
+                    out.push('\n');
+                }
+            }
+        }
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xust_core::intern;
 
     #[test]
     fn counters_roundtrip() {
@@ -917,6 +903,48 @@ mod tests {
         let text = snap.to_string();
         assert!(text.contains("requests=3"));
         assert!(text.contains("TD-BU=2"));
+    }
+
+    /// The `STATS` layout `xbench` and operators read: the
+    /// section lines in order, `batches=` only under `batches:`, and
+    /// method counts ahead of `busy` on the `methods:` line.
+    #[test]
+    fn stats_text_layout() {
+        let s = ServeStats::default();
+        s.batches.fetch_add(2, Ordering::Relaxed); // relaxed: monotone counter; no data published
+        s.busy_micros.fetch_add(7, Ordering::Relaxed); // relaxed: monotone counter; no data published
+        s.count_method(Method::TopDown);
+        s.record_view_recomputed("v", Fallback::Root);
+        let text = s.snapshot().to_string();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines[0], "requests=0 failures=0 views=0 queries=0 transforms=0",
+            "{text}"
+        );
+        let sections: Vec<&str> = lines[1..8]
+            .iter()
+            .map(|l| l.split_once(':').unwrap().0)
+            .collect();
+        assert_eq!(
+            sections,
+            [
+                "cache",
+                "batches",
+                "updates",
+                "wal",
+                "shared",
+                "methods",
+                "recompute"
+            ]
+        );
+        assert!(lines[2].starts_with("batches: runs=2 items=0 steals=0"));
+        assert_eq!(lines[6], "methods: GENTOP=1 busy=7µs");
+        assert!(
+            lines[7].starts_with("recompute: threshold=0 root=1 guard=0"),
+            "{text}"
+        );
+        assert_eq!(text.matches("batches=").count(), 0);
+        assert_eq!(text.matches("runs=2").count(), 1);
     }
 
     #[test]
@@ -982,10 +1010,10 @@ mod tests {
     fn per_view_delta_counters_roll_up() {
         let s = ServeStats::default();
         assert!(s.view_delta("public").is_none());
-        s.record_view_delta("public", true);
-        s.record_view_delta("public", true);
-        s.record_view_delta("public", false);
-        s.record_view_delta("audit", false);
+        s.record_view_retained("public");
+        s.record_view_retained("public");
+        s.record_view_recomputed("public", Fallback::Threshold);
+        s.record_view_recomputed("audit", Fallback::NoCtx);
         s.record_view_patched("public");
         assert_eq!(s.view_delta("public"), Some((2, 1, 1)));
         assert_eq!(s.view_delta("audit"), Some((0, 0, 1)));
@@ -997,12 +1025,18 @@ mod tests {
             snap.view_delta,
             vec![("audit".into(), 0, 0, 1), ("public".into(), 2, 1, 1)]
         );
+        // The per-reason rows always sum to the recompute total.
+        let by_reason: u64 = snap.recompute_fallbacks.iter().map(|r| r.1).sum();
+        assert_eq!(by_reason, snap.delta_recomputed);
+        assert_eq!(s.fallback_count(Fallback::Threshold), 1);
         let text = snap.to_string();
         assert!(text.contains("delta_retained=2"));
         assert!(
             text.contains("view public: delta_retained=2 delta_patched=1 delta_recomputed=1"),
             "{text}"
         );
+        assert!(text.contains("threshold=1"), "{text}");
+        assert!(text.contains("no_ctx=1"), "{text}");
     }
 
     #[test]
@@ -1044,11 +1078,18 @@ mod tests {
         assert_eq!(s.verb_counts(Verb::View), (2, 1));
         assert_eq!(s.verb_counts(Verb::Update), (1, 0));
         let snap = s.snapshot();
-        // Sorted by verb name; untouched verbs omitted.
-        assert_eq!(snap.verbs, vec![(Verb::Update, 1, 0), (Verb::View, 2, 1)]);
+        // Every verb, sorted by name.
+        assert_eq!(snap.verbs.len(), Verb::ALL.len());
+        assert_eq!(snap.verbs[0], (Verb::Analyze, 0, 0));
+        assert_eq!(snap.verbs.last(), Some(&(Verb::View, 2, 1)));
+        // STATS shows only the verbs with traffic; METRICS shows all.
         let text = snap.to_string();
         assert!(text.contains("verb view: requests=2 errors=1"), "{text}");
         assert!(text.contains("verb update: requests=1 errors=0"), "{text}");
+        assert!(!text.contains("verb analyze"), "{text}");
+        let prom = snap.render_prometheus();
+        assert!(prom.contains("xust_verb_requests_total{verb=\"analyze\"} 0"));
+        assert!(prom.contains("xust_verb_errors_total{verb=\"view\"} 1"));
     }
 
     #[test]
@@ -1058,11 +1099,11 @@ mod tests {
         s.count_method(Method::TopDown);
         s.record_verb(Verb::Query, true);
         s.record_view_latency("pub\"lic", 120.0);
-        s.record_view_delta("public", true);
+        s.record_view_retained("public");
         s.record_doc_delta("db", 1, 1, 2, 0);
-        s.seed_doc_labels("db", HashMap::from([(intern("person"), 3)]));
         let json = s.snapshot().render_json();
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
+        assert!(!json.contains(",]") && !json.contains(",}"), "{json}");
         assert!(json.contains("\"requests\":2"), "{json}");
         assert!(
             json.contains("{\"verb\":\"query\",\"requests\":1,\"errors\":0}"),
@@ -1077,41 +1118,32 @@ mod tests {
             "{json}"
         );
         assert!(
-            json.contains("{\"doc\":\"db\",\"labels\":[{\"label\":\"person\",\"count\":3}]}"),
+            json.contains("\"recompute_fallback\":[{\"reason\":\"threshold\",\"count\":0}"),
             "{json}"
         );
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
+    /// Every Prometheus series is announced by exactly one `# HELP` and
+    /// one `# TYPE` line, and label values are escaped.
     #[test]
-    fn doc_label_histogram_shifts_and_clamps() {
+    fn prometheus_rendering_announces_every_metric_once() {
         let s = ServeStats::default();
-        assert!(s.doc_labels("db").is_none());
-        // Shifts against an unseeded doc are discarded: without a seed
-        // baseline the counts would be deltas, not a histogram.
-        s.shift_doc_labels("db", &HashMap::from([(intern("person"), 1)]));
-        assert!(s.doc_labels("db").is_none());
-        s.seed_doc_labels(
-            "db",
-            HashMap::from([(intern("person"), 2), (intern("item"), 5)]),
-        );
-        s.shift_doc_labels(
-            "db",
-            &HashMap::from([(intern("person"), -2), (intern("open_auction"), 1)]),
-        );
-        // Zero-count keys are dropped; new keys appear; sort is count
-        // desc, then label asc.
-        assert_eq!(
-            s.doc_labels("db").unwrap(),
-            vec![("item".into(), 5), ("open_auction".into(), 1)]
-        );
-        let snap = s.snapshot();
-        assert_eq!(snap.doc_labels.len(), 1);
-        let text = snap.to_string();
-        assert!(text.contains("doc db labels:"), "{text}");
-        assert!(text.contains("item=5"), "{text}");
-        s.forget_doc("db");
-        assert!(s.doc_labels("db").is_none());
+        s.record_view_latency("a\"b", 50.0);
+        s.record_view_retained("a\"b");
+        let prom = s.snapshot().render_prometheus();
+        assert!(prom.contains("xust_view_latency_ewma_micros{view=\"a\\\"b\"} 50.0"));
+        assert!(prom.contains("xust_view_delta_retained_total{view=\"a\\\"b\"} 1"));
+        let mut typed = std::collections::HashSet::new();
+        for line in prom.lines() {
+            if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let name = rest.split(' ').next().unwrap();
+                assert!(typed.insert(name.to_string()), "{name} typed twice");
+            } else if !line.starts_with("# HELP ") {
+                let name = line.split(['{', ' ']).next().unwrap();
+                assert!(typed.contains(name), "{name} has no # TYPE line");
+            }
+        }
     }
 
     #[test]

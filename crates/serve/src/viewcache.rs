@@ -79,9 +79,9 @@
 //! sweep had to drop them untested. Per-document versions make that
 //! structurally impossible — a neighbour write moves neither this
 //! document's version nor its shard's lock — and the regression tests
-//! in `tests/update_maintenance.rs` hold the line. Retained and
-//! recomputed fates are counted per view and per document in
-//! [`ServeStats`](crate::ServeStats).
+//! in `tests/update_maintenance.rs` hold the line. The three fates are
+//! counted per view and per document in [`ServeStats`](crate::ServeStats),
+//! and every recompute also under its [`Fallback`] reason.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering}; // lint: atomic-ok (hit/miss/size counters only)
@@ -207,6 +207,57 @@ pub struct MaintainOutcome {
     /// Views whose entries failed the relevance test and were dropped
     /// for lazy recomputation.
     pub recomputed: Vec<String>,
+    /// Why each entry of `recomputed` was not patched, index-aligned.
+    pub fallbacks: Vec<Fallback>,
+}
+
+/// Why an entry that failed the relevance test took the recompute fate
+/// instead of the patch fate — one `STATS`/`METRICS` row per reason.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Fallback {
+    /// The affected span exceeds the fallback threshold.
+    Threshold,
+    /// An update site localized to the root fragment.
+    Root,
+    /// The write's guard labels meet the view's qualifier anchors.
+    Guard,
+    /// The entry carries no provenance map.
+    NoMap,
+    /// The entry's registration generation is not the registered
+    /// view's (or the view is gone).
+    Generation,
+    /// The entry was computed from a version this write does not
+    /// replace.
+    Stale,
+    /// The write carried no patch context (a multi-rule write, or
+    /// patching switched off).
+    NoCtx,
+}
+
+impl Fallback {
+    /// Every reason, in declaration (index) order.
+    pub const ALL: [Fallback; 7] = [
+        Fallback::Threshold,
+        Fallback::Root,
+        Fallback::Guard,
+        Fallback::NoMap,
+        Fallback::Generation,
+        Fallback::Stale,
+        Fallback::NoCtx,
+    ];
+
+    /// The reason's name, as rendered in `STATS` and `METRICS`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Fallback::Threshold => "threshold",
+            Fallback::Root => "root",
+            Fallback::Guard => "guard",
+            Fallback::NoMap => "no_map",
+            Fallback::Generation => "generation",
+            Fallback::Stale => "stale",
+            Fallback::NoCtx => "no_ctx",
+        }
+    }
 }
 
 /// See the module docs.
@@ -577,17 +628,24 @@ impl ViewResultCache {
                 e.version = new_version;
                 outcome.retained.push(view.clone());
                 true
-            } else if let Some(po) = patch_ctx.and_then(|ctx| try_patch(e, view, ctx, prev_version))
-            {
-                e.version = new_version;
-                e.body = None; // next hit re-assembles through the map
-                outcome.patched.push(view.clone());
-                outcome.patched_fragments += po.fragments as u64;
-                true
             } else {
-                outcome.recomputed.push(view.clone());
-                dropped += 1;
-                false
+                match patch_ctx.map_or(Err(Fallback::NoCtx), |ctx| {
+                    try_patch(e, view, ctx, prev_version)
+                }) {
+                    Ok(po) => {
+                        e.version = new_version;
+                        e.body = None; // next hit re-assembles through the map
+                        outcome.patched.push(view.clone());
+                        outcome.patched_fragments += po.fragments as u64;
+                        true
+                    }
+                    Err(why) => {
+                        outcome.recomputed.push(view.clone());
+                        outcome.fallbacks.push(why);
+                        dropped += 1;
+                        false
+                    }
+                }
             }
         });
         self.entries.fetch_sub(dropped, Ordering::Relaxed); // relaxed: counter decrement; no data published
@@ -665,34 +723,35 @@ impl ViewResultCache {
 }
 
 /// The patch fate for one entry that just failed the relevance test.
-/// `None` means ineligible — fall through to recompute. On success the
-/// entry's cached tree has been spliced and its touched-label footprint
-/// widened by what the re-evaluation selected; the caller moves the
-/// version forward and invalidates the flat body.
+/// `Err` names why the entry is ineligible — it falls through to
+/// recompute. On success the entry's cached tree has been spliced and
+/// its touched-label footprint widened by what the re-evaluation
+/// selected; the caller moves the version forward and invalidates the
+/// flat body.
 fn try_patch(
     e: &mut Entry,
     view: &str,
     ctx: &PatchCtx<'_>,
     prev_version: u64,
-) -> Option<PatchOutcome> {
+) -> Result<PatchOutcome, Fallback> {
     if e.version != prev_version {
-        return None; // computed from content this write is not replacing
+        return Err(Fallback::Stale); // computed from content this write is not replacing
     }
-    let pv = ctx.views.get(view)?;
+    let pv = ctx.views.get(view).ok_or(Fallback::Generation)?;
     if pv.generation != e.generation {
-        return None; // the compiled view is not the one this entry reflects
+        return Err(Fallback::Generation); // the compiled view is not the one this entry reflects
     }
     // Guard test: the write may only have flipped qualifier verdicts at
     // nodes on its site chains; if those labels cannot anchor any of the
     // view's qualifiers, every selection decision outside the localized
     // regions still stands.
     if ctx.guard.intersects(&pv.anchor_alphabet) {
-        return None;
+        return Err(Fallback::Guard);
     }
-    let frags = e.frags.as_mut()?;
+    let frags = e.frags.as_mut().ok_or(Fallback::NoMap)?;
     let chosen = match frags.localize(ctx.sites) {
         Localized::Fragments(chosen) if !chosen.is_empty() => chosen,
-        _ => return None, // a site reached the root fragment: whole-result span
+        _ => return Err(Fallback::Root), // a site reached the root fragment: whole-result span
     };
     // Fallback threshold: affected span vs document size. The size is
     // the live arena slot count: the node count of a served document
@@ -700,7 +759,7 @@ fn try_patch(
     let span = frags.cost(&chosen);
     let size = ctx.base.arena_len() - ctx.base.free_slots();
     if span.saturating_mul(PATCH_SPAN_FACTOR) > (size as u64).max(256) {
-        return None;
+        return Err(Fallback::Threshold);
     }
     let q = pv.ct.query();
     let po = frags.patch(ctx.base, &mut e.doc, q, pv.ct.selecting(), &chosen);
@@ -709,7 +768,7 @@ fn try_patch(
     // tests see them. (This only widens the sets — never unsound — and
     // `record` wants the document the targets live in: the new base.)
     e.view_touched.record(ctx.base, &po.targets, &q.op);
-    Some(po)
+    Ok(po)
 }
 
 #[cfg(test)]
@@ -779,6 +838,7 @@ mod tests {
         );
         assert_eq!(out.retained, vec!["disjoint".to_string()]);
         assert_eq!(out.recomputed, vec!["overlap".to_string()]);
+        assert_eq!(out.fallbacks, vec![Fallback::NoCtx], "no patch context");
         assert_eq!(applied, 1, "delta applied only to the retained entry");
         // The retained entry serves the *maintained* body at the new
         // version.
@@ -1107,6 +1167,126 @@ mod tests {
         assert!(out.patched_fragments >= 1);
         let expect = top_down(&base, ct.query()).serialize();
         assert_eq!(c.get("v", "d", 2, 1).as_deref(), Some(expect.as_str()));
+    }
+
+    /// Caches view `view` of `xml` (provenance recorded with leaf limit
+    /// `leaf`, or none when `leaf == 0`) at document version `version`
+    /// and registration generation 1, then runs a write whose relevance
+    /// test fails, with patch sites at `site`'s matches and the view
+    /// registered at `generation`. Returns the recompute reason.
+    fn fallback_of(
+        view: &str,
+        xml: &str,
+        leaf: usize,
+        site: &str,
+        generation: u64,
+        version: u64,
+    ) -> Fallback {
+        use xust_core::{qualifier_anchor_alphabet_into, site_chain, top_down};
+        use xust_xpath::{eval_path_root, parse_path};
+        let ct = Arc::new(CompiledTransform::parse(view).unwrap());
+        let base = Document::parse(xml).unwrap();
+        let result = top_down(&base, ct.query());
+        let body = result.serialize();
+        let frags = (leaf > 0).then(|| {
+            FragmentTree::build(&base, &result, ct.query(), ct.selecting(), leaf)
+                .expect("provenance must record for this shape")
+        });
+        let c = ViewResultCache::new(8);
+        let alphabet = ct.alphabet().clone();
+        c.insert(
+            "v",
+            "d",
+            version,
+            1,
+            result,
+            body,
+            alphabet.clone(),
+            TouchedLabels::new(),
+            frags,
+        );
+        let sites: Vec<Vec<NodeId>> = eval_path_root(&base, &parse_path(site).unwrap())
+            .into_iter()
+            .map(|t| site_chain(&base, t))
+            .collect();
+        let guard: LabelSet = sites
+            .iter()
+            .flatten()
+            .filter_map(|&n| base.name_sym(n))
+            .collect();
+        let mut anchor_alphabet = LabelSet::new();
+        qualifier_anchor_alphabet_into(&ct.query().path, &mut anchor_alphabet);
+        let pv = PatchView {
+            ct: Arc::clone(&ct),
+            anchor_alphabet,
+            generation,
+        };
+        let views = HashMap::from([("v".to_string(), pv)]);
+        let ctx = PatchCtx {
+            base: &base,
+            sites: &sites,
+            guard: &guard,
+            views: &views,
+        };
+        // The view's own alphabet as the delta: relevance always fails.
+        let out = c.maintain(
+            "d",
+            1,
+            2,
+            &alphabet,
+            &LabelSet::new(),
+            &alphabet,
+            &[],
+            Some(&ctx),
+            &mut |_| panic!("relevance must fail"),
+        );
+        assert_eq!(out.recomputed, vec!["v".to_string()]);
+        assert_eq!(out.fallbacks.len(), 1, "one reason per recomputed entry");
+        out.fallbacks[0]
+    }
+
+    /// Every recompute names why the patch fate was skipped, and each
+    /// reason fires on an entry built to trip exactly that check.
+    #[test]
+    fn recompute_fallback_reasons_fire_on_hand_built_entries() {
+        const DEL_PRICE: &str =
+            r#"transform copy $a := doc("d") modify do delete $a//price return $a"#;
+        let small = "<db><zone><part><pname>kb</pname><price>9</price></part></zone><o/></db>";
+        let mut big = String::from("<db><zone>");
+        for i in 0..100 {
+            big.push_str(&format!("<part><price>{i}</price></part>"));
+        }
+        big.push_str("</zone><o/></db>");
+        // One ~300-node leaf fragment under the write: 4× its span
+        // exceeds the whole document.
+        assert_eq!(
+            fallback_of(DEL_PRICE, &big, 1000, "/db/zone/part", 1, 1),
+            Fallback::Threshold
+        );
+        // A write at the document element localizes to the root fragment.
+        assert_eq!(
+            fallback_of(DEL_PRICE, small, 1, "/db", 1, 1),
+            Fallback::Root
+        );
+        // The site chain passes through `part`, which anchors the view's
+        // qualifier: the write may have flipped its verdict.
+        let qualified = r#"transform copy $a := doc("d") modify do delete $a//part[pname = 'kb']/price return $a"#;
+        assert_eq!(
+            fallback_of(qualified, small, 1, "/db/zone/part", 1, 1),
+            Fallback::Guard
+        );
+        assert_eq!(
+            fallback_of(DEL_PRICE, small, 0, "/db/zone/part", 1, 1),
+            Fallback::NoMap
+        );
+        assert_eq!(
+            fallback_of(DEL_PRICE, small, 1, "/db/zone/part", 2, 1),
+            Fallback::Generation
+        );
+        assert_eq!(
+            fallback_of(DEL_PRICE, small, 1, "/db/zone/part", 1, 0),
+            Fallback::Stale
+        );
     }
 
     #[test]

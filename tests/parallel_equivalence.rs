@@ -4,8 +4,6 @@
 //!   **byte-for-byte** with sequential `two_pass` and with `copy_update`
 //!   on randomized documents, queries, and update kinds, for shard
 //!   counts {1, 2, 8};
-//! * the core work-stealing executor must agree with per-document
-//!   sequential evaluation;
 //! * a streaming session's peak allocation must stay O(depth · |p|) —
 //!   far below the document size — asserted with a per-thread
 //!   peak-allocation counter installed as the global allocator.
@@ -19,7 +17,7 @@ use std::io::Read;
 use common::{arb_doc, arb_op, arb_path, build_query, build_query_text};
 use proptest::prelude::*;
 
-use xust::core::{evaluate, multi_snapshot, multi_top_down_batch, Method, MultiTransformQuery};
+use xust::core::{evaluate, Method};
 use xust::sax::SaxParser;
 use xust::serve::{Request, Server};
 use xust::tree::Document;
@@ -137,32 +135,6 @@ proptest! {
                 );
             }
             prop_assert_eq!(server.store().active_snapshots(), 0);
-        }
-    }
-
-    /// The core work-stealing executor agrees with sequential
-    /// per-document evaluation (snapshot-semantics reference).
-    #[test]
-    fn core_batch_executor_agrees_with_sequential(
-        docs in prop::collection::vec(arb_doc(), 1..6),
-        path in arb_path(),
-        op in arb_op(),
-    ) {
-        let q = build_query(&path, op);
-        let mq = MultiTransformQuery::new("d", vec![(q.path.clone(), q.op.clone())]);
-        let refs: Vec<&Document> = docs.iter().collect();
-        for threads in [1, 4] {
-            let batch = multi_top_down_batch(&refs, &mq, threads);
-            for (i, d) in docs.iter().enumerate() {
-                let expect = multi_snapshot(d, &mq).serialize();
-                prop_assert_eq!(
-                    batch[i].serialize(),
-                    expect,
-                    "threads={} doc {} deviates",
-                    threads,
-                    i
-                );
-            }
         }
     }
 }
