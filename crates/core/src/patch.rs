@@ -9,6 +9,14 @@
 //! were live *before* consuming the base node's label — for a spine of
 //! large subtrees, leaving small subtrees as opaque leaves.
 //!
+//! Every base subtree larger than `leaf_limit` is split into one child
+//! fragment per base child, whether the automaton is still live there
+//! or `topDown` pruned it (Fig. 3, lines 2–3): a pruned fragment keeps
+//! an empty state set, and re-evaluating it is a verbatim copy. The
+//! only other bound is a per-tree fragment budget (`frag_budget`),
+//! so a wide node splits whenever the whole map stays small next to
+//! the result tree it describes.
+//!
 //! When a later update touches the base document, the write path can
 //! **localize** the update's target set against the provenance map
 //! ([`FragmentTree::localize`]): walk each target's ancestor-or-self
@@ -48,10 +56,15 @@ use xust_xpath::eval_qualifier;
 use crate::query::{TransformQuery, UpdateOp};
 use crate::topdown::rec_into_tree;
 
-/// Upper bound on direct child fragments of one interior fragment: a
-/// node with more children than this stays a leaf (index size and
-/// alignment cost stay bounded on pathologically wide documents).
-pub const MAX_CHILD_FRAGS: usize = 1024;
+/// The most fragments one tree may hold over a base document of
+/// `live_nodes` nodes: one per 8 nodes, so the map (fragments plus
+/// their index entries) stays smaller than the result tree's 32-byte
+/// node records, but never fewer than 1024, so small documents keep
+/// full leaf-level granularity. A subtree whose children would push
+/// the tree past its budget stays an opaque leaf.
+fn frag_budget(live_nodes: usize) -> usize {
+    (live_nodes / 8).max(1024)
+}
 
 /// One provenance fragment: the base subtree at `src` produced the
 /// result nodes `dst` (0, 1, or 2 of them — a deleted subtree produces
@@ -127,11 +140,20 @@ pub struct FragmentTree {
     dst_index: HashMap<NodeId, usize>,
     /// Base subtrees of at most this many nodes stay opaque leaves.
     leaf_limit: usize,
+    /// Ceiling on live fragments (`frag_budget` of the base document at
+    /// build time).
+    budget: usize,
+    /// Byte length of the last [`FragmentTree::assemble`] output: the
+    /// next one reserves that much, plus an eighth for writes that grow
+    /// the result, so a multi-megabyte body is never regrown by
+    /// doubling.
+    assembled_len: usize,
 }
 
 impl FragmentTree {
     /// Records the provenance of `result = q(base)` as a fragment tree,
-    /// descending only into base subtrees larger than `leaf_limit`.
+    /// descending only into base subtrees larger than `leaf_limit`
+    /// while the tree stays within its fragment budget.
     /// `nfa` must be the selecting NFA compiled from `q.path`. Returns
     /// `None` for shapes the alignment model does not cover (ε path,
     /// selected root under a non-rename op, empty documents, alignment
@@ -159,7 +181,8 @@ impl FragmentTree {
         if s_after.contains(nfa.final_state) && !matches!(q.op, UpdateOp::Rename { .. }) {
             return None; // selected root shifts child alignment (or empties the doc)
         }
-        if base.children(broot).count() > MAX_CHILD_FRAGS {
+        let budget = frag_budget(base.arena_len() - base.free_slots());
+        if base.children(broot).count() >= budget {
             return None;
         }
         let sizes = subtree_sizes(base);
@@ -169,6 +192,8 @@ impl FragmentTree {
             src_index: HashMap::new(),
             dst_index: HashMap::new(),
             leaf_limit: leaf_limit.max(1),
+            budget,
+            assembled_len: 0,
         };
         let root = t.alloc(Fragment {
             src: broot,
@@ -202,6 +227,27 @@ impl FragmentTree {
     /// Live fragments right now (root included).
     pub fn fragment_count(&self) -> usize {
         self.frags.len() - self.free.len()
+    }
+
+    /// Whether the base element `c`, which produced `produced` result
+    /// nodes, gets child fragments: it must map to exactly one result
+    /// node whose children mirror its own (not selected, or selected
+    /// only to be renamed), be larger than a leaf, and fit its children
+    /// in the budget. A pruned subtree (empty state set) qualifies like
+    /// any other — its fragments just copy through on re-evaluation.
+    fn descend(
+        &self,
+        base: &Document,
+        c: NodeId,
+        produced: usize,
+        selected: bool,
+        op: &UpdateOp,
+        size: u32,
+    ) -> bool {
+        produced == 1
+            && (!selected || matches!(op, UpdateOp::Rename { .. }))
+            && size as usize > self.leaf_limit
+            && self.fragment_count() + base.children(c).count() <= self.budget
     }
 
     fn alloc(&mut self, f: Fragment) -> usize {
@@ -332,12 +378,7 @@ impl FragmentTree {
                     });
                     created.push(ci);
                     kids.push(ci);
-                    let descend = count == 1
-                        && !s_c.is_empty()
-                        && (!selected || matches!(q.op, UpdateOp::Rename { .. }))
-                        && sizes(c) as usize > self.leaf_limit
-                        && base.children(c).count() <= MAX_CHILD_FRAGS;
-                    if descend {
+                    if self.descend(base, c, count, selected, &q.op, sizes(c)) {
                         self.align_children(base, result, q, nfa, sizes, ci, &s_c, created)?;
                     }
                 }
@@ -486,12 +527,8 @@ impl FragmentTree {
         let label = base.name_sym(src).expect("fragment srcs are elements");
         let s_after = nfa.next_states(&states, label, |_, qual| eval_qualifier(base, src, qual));
         let selected = s_after.contains(nfa.final_state);
-        let descend = produced.len() == 1
-            && !s_after.is_empty()
-            && (!selected || matches!(q.op, UpdateOp::Rename { .. }))
-            && self.frag(fi).size as usize > self.leaf_limit
-            && base.children(src).count() <= MAX_CHILD_FRAGS;
-        if descend {
+        let size = self.frag(fi).size;
+        if self.descend(base, src, produced.len(), selected, &q.op, size) {
             let sz = |n: NodeId| rsizes.get(&n).copied().unwrap_or(1);
             let mut created = Vec::new();
             if self
@@ -544,8 +581,9 @@ impl FragmentTree {
     /// memoized bytes (serialized from `doc` on first use). Unchanged
     /// fragments are never re-serialized across patches.
     pub fn assemble(&mut self, doc: &Document) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(self.assembled_len + self.assembled_len / 8);
         self.write_frag(0, doc, &mut out);
+        self.assembled_len = out.len();
         out
     }
 
@@ -558,8 +596,8 @@ impl FragmentTree {
                 return;
             }
             out.push('>');
-            let children = self.frag(i).children.clone();
-            for c in children {
+            for k in 0..self.frag(i).children.len() {
+                let c = self.frag(i).children[k];
                 self.write_frag(c, doc, out);
             }
             doc.write_end_tag_into(d, out);
@@ -848,6 +886,108 @@ mod tests {
             view(r#"transform copy $a := doc("db") modify do delete $a/zzz/yyy return $a"#);
         let result = top_down(&base, &q);
         assert!(FragmentTree::build(&base, &result, &q, &nfa, 1).is_none());
+    }
+
+    /// Builds `q`'s fragment tree over `base` (leaf limit `leaf`), applies
+    /// `op` at the nodes `write` selects, patches the localized
+    /// fragments and checks the spliced result against a fresh
+    /// `top_down`. Returns the tree and the patched span.
+    fn patch_roundtrip(
+        vq: &str,
+        base: &mut Document,
+        leaf: usize,
+        write: &str,
+        op: UpdateOp,
+    ) -> (FragmentTree, u64) {
+        let (q, nfa) = view(vq);
+        let result = top_down(base, &q);
+        let mut tree = FragmentTree::build(base, &result, &q, &nfa, leaf).expect("tree builds");
+        assert!(tree.fragment_count() <= tree.budget);
+        let mut out = Document::new();
+        let r = out.deep_copy_from(&result, result.root().unwrap());
+        out.set_root(r);
+        let targets = eval_path_root(base, &xust_xpath::parse_path(write).unwrap());
+        assert_eq!(targets.len(), 1, "{write}");
+        let chain = site_chain(base, targets[0]);
+        apply_update(base, &targets, &op);
+        let Localized::Fragments(chosen) = tree.localize(&[chain]) else {
+            panic!("{write}: localized to root");
+        };
+        let span = tree.cost(&chosen);
+        tree.patch(base, &mut out, &q, &nfa, &chosen);
+        assert_eq!(
+            tree.assemble(&out),
+            top_down(base, &q).serialize(),
+            "{write}"
+        );
+        assert!(tree.fragment_count() <= tree.budget);
+        (tree, span)
+    }
+
+    fn mark() -> UpdateOp {
+        UpdateOp::Insert {
+            elem: Document::parse("<w>1</w>").unwrap(),
+            pos: InsertPos::LastInto,
+        }
+    }
+
+    /// A subtree the automaton prunes is split like a live one: a write
+    /// deep inside `<other>` — where `/db/zone/part/price` can never
+    /// match — localizes to the one small fragment around it, and
+    /// patching that fragment (a verbatim copy) keeps the result exact.
+    #[test]
+    fn pruned_subtrees_split_into_leaf_sized_fragments() {
+        let mut xml = String::from("<db><zone><part><price>1</price></part></zone><other>");
+        for i in 0..40 {
+            xml.push_str(&format!("<box><lid>{i}</lid><item>{i}</item></box>"));
+        }
+        xml.push_str("</other></db>");
+        let mut base = Document::parse(&xml).unwrap();
+        let (tree, span) = patch_roundtrip(
+            r#"transform copy $a := doc("db") modify do delete $a/db/zone/part/price return $a"#,
+            &mut base,
+            4,
+            "/db/other/box[lid = '17']",
+            mark(),
+        );
+        // <other> alone is 201 nodes; the write touched one 5-node box.
+        assert_eq!(span, 5);
+        assert!(tree.fragment_count() > 40, "every box is its own fragment");
+    }
+
+    /// A node wider than the old fixed per-node cap of 1024 children
+    /// splits when its children fit the per-tree budget, and stays an
+    /// opaque leaf when they do not.
+    #[test]
+    fn wide_nodes_split_within_the_fragment_budget() {
+        const VQ: &str =
+            r#"transform copy $a := doc("db") modify do delete $a/db/wide/p/d return $a"#;
+        // 1,500 nine-node children: the budget (nodes / 8) admits them.
+        let mut xml = String::from("<db><wide>");
+        for i in 0..1500 {
+            xml.push_str(&format!("<p><a>{i}</a><b>b</b><c>c</c><d>d</d></p>"));
+        }
+        xml.push_str("</wide></db>");
+        let mut base = Document::parse(&xml).unwrap();
+        let (tree, span) = patch_roundtrip(VQ, &mut base, 512, "/db/wide/p[a = '700']", mark());
+        assert_eq!(span, 9, "the write's span is one child, not the wide node");
+        assert!(tree.fragment_count() > 1500);
+        assert!(tree.fragment_count() <= tree.budget);
+        // 2,000 one-node children: splitting would outgrow the budget,
+        // so the wide node stays one leaf.
+        let mut xml = String::from("<db><wide>");
+        xml.push_str(&"<p/>".repeat(2000));
+        xml.push_str("</wide><tail/></db>");
+        let base = Document::parse(&xml).unwrap();
+        let (q, nfa) = view(VQ);
+        let result = top_down(&base, &q);
+        let tree = FragmentTree::build(&base, &result, &q, &nfa, 512).unwrap();
+        assert_eq!(
+            tree.fragment_count(),
+            3,
+            "root, the unsplit wide node, tail"
+        );
+        assert!(tree.fragment_count() <= tree.budget);
     }
 
     #[test]

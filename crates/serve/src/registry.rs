@@ -13,7 +13,9 @@ use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 use xust_analyze::{analyze_path, analyze_view, views_equivalent, ViewAnalysis};
-use xust_core::{CompiledTransform, LabelSet, MultiTransformQuery, UpdateOp};
+use xust_core::{
+    qualifier_anchor_alphabet_into, CompiledTransform, LabelSet, MultiTransformQuery, UpdateOp,
+};
 use xust_secview::Policy;
 use xust_xpath::Path;
 
@@ -59,6 +61,11 @@ pub struct ViewDef {
     /// representative's when `cache_key` is adopted, else this view's
     /// own [`ViewDef::generation`].
     pub cache_generation: u64,
+    /// The qualifier anchor alphabet of a single-link view's path
+    /// ([`xust_core::qualifier_anchor_alphabet_into`]) — what the patch
+    /// fate's guard test reads on every write. Empty for every other
+    /// body, which never patches.
+    pub anchor_alphabet: LabelSet,
 }
 
 impl std::fmt::Debug for ViewDef {
@@ -99,6 +106,18 @@ impl ViewDef {
             _ => None,
         }
     }
+}
+
+/// The qualifier anchor alphabet of a one-link chain (see
+/// [`ViewDef::anchor_alphabet`]).
+fn anchor_alphabet(body: &ViewBody) -> LabelSet {
+    let mut anchor = LabelSet::new();
+    if let ViewBody::Chain(links) = body {
+        if let [link] = links.as_slice() {
+            qualifier_anchor_alphabet_into(&link.query().path, &mut anchor);
+        }
+    }
+    anchor
 }
 
 /// Thread-safe name → [`ViewDef`] map.
@@ -184,10 +203,12 @@ impl ViewRegistry {
             .collect();
         let (cache_key, cache_generation) =
             cache_family(&views, &name, &doc_name, &rules, generation);
+        let body = ViewBody::Chain(links);
         let def = Arc::new(ViewDef {
             name: name.clone(),
             doc_name,
-            body: ViewBody::Chain(links),
+            anchor_alphabet: anchor_alphabet(&body),
+            body,
             sources: queries.iter().map(|s| s.to_string()).collect(),
             alphabet,
             generation,
@@ -277,6 +298,7 @@ impl ViewRegistry {
         let def = Arc::new(ViewDef {
             name: name.clone(),
             doc_name: policy.doc_name.clone(),
+            anchor_alphabet: anchor_alphabet(&body),
             body,
             sources,
             alphabet,

@@ -31,10 +31,9 @@ use std::time::Instant;
 use xust_compose::{compose, compose_two_pass_sax, ComposedQuery, UserQuery};
 use xust_core::delta::{RenameMapping, TouchedLabels};
 use xust_core::{
-    apply_update, intern, multi_top_down, multi_view_with_stats, parse_multi_transform,
-    qualifier_anchor_alphabet_into, site_chain, touched_labels_into, update_alphabet,
-    value_alphabet_into, CompiledTransform, FragmentTree, LabelSet, LdStorage, Method, SaxStats,
-    TransformQuery, TransformStream, UpdateOp,
+    apply_update, intern, multi_top_down, multi_view_with_stats, parse_multi_transform, site_chain,
+    touched_labels_into, update_alphabet, value_alphabet_into, CompiledTransform, FragmentTree,
+    LabelSet, LdStorage, Method, SaxStats, TransformQuery, TransformStream, UpdateOp,
 };
 use xust_sax::{SaxEvent, SaxParser, SaxWriter};
 use xust_secview::Policy;
@@ -992,27 +991,28 @@ impl Server {
         // The patch fate's view table — single-rule writes only
         // (multi-rule writes interleave arena slot recycling between
         // rules, so node ids captured for one rule can be stale by the
-        // next). Resolved before the shard write lock: maintenance
-        // under the lock only does hash lookups.
+        // next). Every live view is listed whatever `doc("…")` name it
+        // reads: VIEW serves any view over any loaded document, so this
+        // document's cache shard can hold entries of all of them.
+        // Resolved before the shard write lock: maintenance under the
+        // lock only does hash lookups.
         let patching = self.inner.patching && ops.len() == 1;
-        let mut patch_views: HashMap<String, PatchView> = HashMap::new();
-        if patching {
-            for def in self.inner.registry.defs() {
-                if def.doc_name != doc || def.analysis.dead {
-                    continue;
-                }
-                let Some(link) = def.single() else { continue };
-                let mut anchor = LabelSet::new();
-                qualifier_anchor_alphabet_into(&link.query().path, &mut anchor);
-                patch_views.insert(
-                    def.cache_key.to_string(),
-                    PatchView {
-                        ct: Arc::clone(link),
-                        anchor_alphabet: anchor,
-                        generation: def.cache_generation,
-                    },
-                );
-            }
+        let defs = if patching {
+            self.inner.registry.defs()
+        } else {
+            Vec::new()
+        };
+        let mut patch_views: HashMap<String, PatchView<'_>> = HashMap::new();
+        for def in defs.iter().filter(|def| !def.analysis.dead) {
+            let Some(link) = def.single() else { continue };
+            patch_views.insert(
+                def.cache_key.to_string(),
+                PatchView {
+                    ct: link,
+                    anchor_alphabet: &def.anchor_alphabet,
+                    generation: def.cache_generation,
+                },
+            );
         }
         let results = &self.inner.results;
         let wal = self.wal_handle();

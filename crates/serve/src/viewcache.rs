@@ -108,13 +108,15 @@ pub struct DeltaReplay {
     pub chains: Vec<Vec<NodeId>>,
 }
 
-/// Everything the patch fate needs to know about one registered view.
-pub struct PatchView {
+/// Everything the patch fate needs to know about one registered view,
+/// borrowed from its registration.
+pub struct PatchView<'a> {
     /// The view's compiled transform (prebuilt selecting NFA included).
-    pub ct: Arc<CompiledTransform>,
+    pub ct: &'a CompiledTransform,
     /// The view path's qualifier anchor alphabet
-    /// ([`xust_core::qualifier_anchor_alphabet_into`]).
-    pub anchor_alphabet: LabelSet,
+    /// ([`xust_core::qualifier_anchor_alphabet_into`]), computed once
+    /// when the view was registered.
+    pub anchor_alphabet: &'a LabelSet,
     /// The registration generation `ct` belongs to.
     pub generation: u64,
 }
@@ -136,7 +138,7 @@ pub struct PatchCtx<'a> {
     /// verdict or changed a name.
     pub guard: &'a LabelSet,
     /// Patch-eligible registered views by cache key.
-    pub views: &'a HashMap<String, PatchView>,
+    pub views: &'a HashMap<String, PatchView<'a>>,
 }
 
 /// One cached, maintained view result.
@@ -223,8 +225,8 @@ pub enum Fallback {
     Guard,
     /// The entry carries no provenance map.
     NoMap,
-    /// The entry's registration generation is not the registered
-    /// view's (or the view is gone).
+    /// The view was re-registered (the entry's generation is not the
+    /// registered one) or removed since the entry was materialized.
     Generation,
     /// The entry was computed from a version this write does not
     /// replace.
@@ -745,7 +747,7 @@ fn try_patch(
     // nodes on its site chains; if those labels cannot anchor any of the
     // view's qualifiers, every selection decision outside the localized
     // regions still stands.
-    if ctx.guard.intersects(&pv.anchor_alphabet) {
+    if ctx.guard.intersects(pv.anchor_alphabet) {
         return Err(Fallback::Guard);
     }
     let frags = e.frags.as_mut().ok_or(Fallback::NoMap)?;
@@ -1148,8 +1150,8 @@ mod tests {
         views.insert(
             "v".to_string(),
             PatchView {
-                ct: Arc::clone(&ct),
-                anchor_alphabet: anchor,
+                ct: &ct,
+                anchor_alphabet: &anchor,
                 generation: 1,
             },
         );
@@ -1217,8 +1219,8 @@ mod tests {
         let mut anchor_alphabet = LabelSet::new();
         qualifier_anchor_alphabet_into(&ct.query().path, &mut anchor_alphabet);
         let pv = PatchView {
-            ct: Arc::clone(&ct),
-            anchor_alphabet,
+            ct: &ct,
+            anchor_alphabet: &anchor_alphabet,
             generation,
         };
         let views = HashMap::from([("v".to_string(), pv)]);

@@ -138,7 +138,19 @@ fn check_all_views_of(
     reference: &Document,
     context: &str,
 ) -> Result<(), TestCaseError> {
-    for (name, links) in VIEWS {
+    check_views_of(server, &VIEWS, doc, reference, context)
+}
+
+/// Every view of `views`, served for `doc`, equals a full recompute
+/// over `reference`.
+fn check_views_of(
+    server: &Server,
+    views: &[(&str, &[&str])],
+    doc: &str,
+    reference: &Document,
+    context: &str,
+) -> Result<(), TestCaseError> {
+    for &(name, links) in views {
         let served = server
             .handle(&Request::View {
                 view: name.into(),
@@ -731,9 +743,10 @@ fn writes_never_touch_entries_of_other_shards() {
         hits_before + 1,
         "doc B's entry (another shard) must survive the write to doc A"
     );
-    // A's entry was invalidated — and eagerly recomputed by the
-    // write's one shared sweep, so the next read hits at the new
-    // version without any further miss.
+    // A's entry failed the relevance test and was patched in place —
+    // the view reads `doc("db")` while the document is stored as A, and
+    // the patch fate covers it all the same — so the next read hits at
+    // the new version with no miss and no recompute sweep.
     let served_a = server
         .handle(&Request::View {
             view: "noprice".into(),
@@ -744,8 +757,12 @@ fn writes_never_touch_entries_of_other_shards() {
     assert_eq!(server.stats().result_misses, misses_before);
     assert_eq!(server.stats().result_hits, hits_before + 2);
     let snap = server.stats();
-    assert_eq!(snap.shared_passes, 1, "one write, one factorised sweep");
-    assert_eq!(snap.shared_pass_views, 1);
+    assert_eq!(snap.delta_patched, 1, "A's entry takes the patch fate");
+    assert_eq!(snap.delta_recomputed, 0);
+    assert_eq!(
+        snap.shared_passes, 0,
+        "a patched write runs no shared sweep"
+    );
 }
 
 #[test]
@@ -917,13 +934,54 @@ fn reload_drops_entries_instead_of_maintaining_them() {
 
 /// Paths whose writes intersect the registered views' alphabets —
 /// exactly the writes that fail retention and become patch candidates.
-const PATCH_PATHS: [&str; 5] = [
+/// The last three write beside the [`NARROW_VIEWS`] paths, into
+/// subtrees those views' automata prune.
+const PATCH_PATHS: [&str; 8] = [
     "//keyword",
     "//bidder",
     "//emph",
     "site/people/person",
     "//item[location = 'United States']",
+    "site/people/person/name",
+    "site/open_auctions/open_auction/seller",
+    "site/closed_auctions/closed_auction",
 ];
+
+/// Child-axis views whose selecting automata die outside one XMark
+/// region. A write anywhere else lands in a pruned subtree, so their
+/// entries patch (and re-split) pruned fragments.
+const NARROW_VIEWS: [(&str, &[&str]); 2] = [
+    (
+        "nocc",
+        &[
+            r#"transform copy $a := doc("xmark") modify do delete $a/site/people/person/creditcard return $a"#,
+        ],
+    ),
+    (
+        "nobidder",
+        &[
+            r#"transform copy $a := doc("xmark") modify do delete $a/site/open_auctions/open_auction/bidder return $a"#,
+        ],
+    ),
+];
+
+/// [`VIEWS`] plus [`NARROW_VIEWS`], registered on `server`.
+fn register_patch_views(server: &Server) {
+    register_views(server);
+    for (name, links) in NARROW_VIEWS {
+        server.register_view_chain(name, links).unwrap();
+    }
+}
+
+/// Every view of [`register_patch_views`] equals a full recompute.
+fn check_patch_views(
+    server: &Server,
+    reference: &Document,
+    context: &str,
+) -> Result<(), TestCaseError> {
+    check_all_views(server, reference, context)?;
+    check_views_of(server, &NARROW_VIEWS, "xmark", reference, context)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
@@ -945,9 +1003,9 @@ proptest! {
         let base = spiked_xmark(seed);
         let server = Server::builder().threads(2).shards(1).build();
         server.load_doc("xmark", base.clone());
-        register_views(&server);
+        register_patch_views(&server);
         let mut reference = base.clone();
-        check_all_views(&server, &reference, "before any write")?;
+        check_patch_views(&server, &reference, "before any write")?;
         for (round, &(path_idx, op, name_idx)) in writes.iter().enumerate() {
             let patched_before = server.stats().delta_patched;
             let fragments_before = server.stats().patched_fragments;
@@ -968,9 +1026,101 @@ proptest! {
                 );
             }
             let ctx = format!("round={round} update={text}");
-            check_all_views(&server, &reference, &ctx)?;
+            check_patch_views(&server, &reference, &ctx)?;
         }
     }
+}
+
+/// Writes into subtrees a view's automaton prunes patch instead of
+/// recomputing. The six narrow views of the `hot_write_views`
+/// benchmark see person, item and open-auction insert/delete pairs on
+/// a small XMark document: every entry that fails the relevance test
+/// must take the patch fate (no recompute reason ever fires), and every
+/// served view must equal a full `two_pass` recompute after every
+/// write.
+#[test]
+fn pruned_fragments_patch_every_write_kind() {
+    const BODIES: [(&str, &str); 6] = [
+        ("nocc", "delete $a/site/people/person/creditcard"),
+        ("noprofile", "delete $a/site/people/person/profile"),
+        ("nodesc", "delete $a/site/regions//item/description"),
+        ("nomail", "delete $a/site/regions//item/mailbox"),
+        (
+            "nobidder",
+            "delete $a/site/open_auctions/open_auction/bidder",
+        ),
+        ("nopeople", "delete $a/site/people"),
+    ];
+    let views: Vec<(&str, String)> = BODIES
+        .iter()
+        .map(|&(name, body)| {
+            (
+                name,
+                format!(r#"transform copy $a := doc("xmark") modify do {body} return $a"#),
+            )
+        })
+        .collect();
+    let base = Document::parse(&generate_string(XmarkConfig::new(0.005).with_seed(7))).unwrap();
+    let server = Server::builder().threads(1).shards(1).build();
+    server.load_doc("xmark", base.clone());
+    for (name, text) in &views {
+        server.register_view(name, text).unwrap();
+    }
+    let check = |reference: &Document, context: &str| {
+        for (name, text) in &views {
+            let served = server
+                .handle(&Request::View {
+                    view: name.to_string(),
+                    doc: "xmark".into(),
+                })
+                .unwrap();
+            assert_eq!(
+                served.body,
+                recompute_view(reference, &[text.as_str()]),
+                "view '{name}' diverged ({context})"
+            );
+        }
+    };
+    let mut reference = base;
+    check(&reference, "before any write");
+    let targets = [
+        r#"/site/people/person[@id = "person3"]"#,
+        r#"/site/regions//item[@id = "item5"]"#,
+        r#"/site/open_auctions/open_auction[@id = "open_auction2"]"#,
+        r#"/site/people/person[@id = "person11"]"#,
+        r#"/site/regions//item[@id = "item17"]"#,
+        r#"/site/open_auctions/open_auction[@id = "open_auction9"]"#,
+    ];
+    for target in targets {
+        for update in [
+            format!(
+                r#"transform copy $a := doc("xmark") modify do insert <xust-mark><t>w</t></xust-mark> into $a{target} return $a"#
+            ),
+            format!(
+                r#"transform copy $a := doc("xmark") modify do delete $a{target}/xust-mark return $a"#
+            ),
+        ] {
+            let resp = server.update_doc("xmark", &update).unwrap();
+            assert!(resp.body.contains("targets=1"), "{}", resp.body);
+            apply_to_reference(&mut reference, &update);
+            check(&reference, &update);
+        }
+    }
+    let stats = server.stats();
+    assert!(
+        stats.to_string().contains(
+            "recompute: threshold=0 root=0 guard=0 no_map=0 generation=0 stale=0 no_ctx=0"
+        ),
+        "{stats}"
+    );
+    // Each write's delta reaches `site`, which every view reads, so no
+    // entry is retained: all of them patch, on every write.
+    assert_eq!(stats.delta_recomputed, 0);
+    assert_eq!(
+        stats.delta_patched,
+        (views.len() * 2 * targets.len()) as u64,
+        "{stats}"
+    );
 }
 
 /// The patch fate actually fires — deterministically. An insert of a
