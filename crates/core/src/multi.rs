@@ -70,15 +70,6 @@ impl MultiTransformQuery {
             updates,
         }
     }
-
-    /// Wraps a single-update transform query.
-    pub fn from_single(q: TransformQuery) -> Self {
-        MultiTransformQuery {
-            var: q.var,
-            doc_name: q.doc_name,
-            updates: vec![(q.path, q.op)],
-        }
-    }
 }
 
 /// The merged effects planned for one node (conflict rules applied).
@@ -586,13 +577,16 @@ mod tests {
     }
 
     #[test]
-    fn from_single_matches_top_down() {
+    fn singleton_multi_matches_top_down() {
         let single =
             parse_transform(r#"transform copy $a := doc("d") modify do delete $a//x return $a"#)
                 .unwrap();
         let d = Document::parse("<db><x/><y><x/></y></db>").unwrap();
         let expect = crate::topdown::top_down(&d, &single);
-        let got = multi_top_down(&d, &MultiTransformQuery::from_single(single));
+        let got = multi_top_down(
+            &d,
+            &MultiTransformQuery::new("d", vec![(single.path, single.op)]),
+        );
         assert!(docs_eq(&expect, &got));
     }
 

@@ -400,8 +400,8 @@ mod tests {
         .unwrap();
         let xml = "<db><part><price>1</price><pname>a</pname></part></db>";
         let via_single = crate::sax2pass::two_pass_sax_str(xml, &single).unwrap();
-        let via_multi =
-            multi_two_pass_sax_str(xml, &MultiTransformQuery::from_single(single)).unwrap();
+        let multi = MultiTransformQuery::new("d", vec![(single.path, single.op)]);
+        let via_multi = multi_two_pass_sax_str(xml, &multi).unwrap();
         assert_eq!(via_single, via_multi);
     }
 

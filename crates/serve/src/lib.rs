@@ -82,25 +82,27 @@
 pub mod cache;
 pub mod error;
 pub mod executor;
+pub mod explain;
 pub mod obs;
 pub mod pipeline;
 pub mod registry;
 pub mod server;
+pub mod session;
 pub mod stats;
 pub mod store;
 pub mod viewcache;
 pub mod wal;
+mod write;
 
 pub use cache::PreparedCache;
 pub use error::ServeError;
 pub use executor::{StealStats, ThreadPool};
+pub use explain::{Analysis, Explanation, LinkPlan};
 pub use obs::{HistogramSnapshot, LatencyHistogram, Obs, Phase, RequestTrace, Trace};
 pub use pipeline::{serve_pipelined, PipelineOptions};
 pub use registry::{ViewBody, ViewDef, ViewRegistry};
-pub use server::{
-    Analysis, DocSource, Explanation, LinkPlan, Request, Response, Server, ServerBuilder,
-    StreamingSession, WalRecovery,
-};
+pub use server::{DocSource, Request, Response, Server, ServerBuilder, WalRecovery};
+pub use session::StreamingSession;
 pub use stats::{
     json_escape, DeltaCell, EwmaCell, Family, ServeStats, StatsSnapshot, Text, Verb, FAMILIES,
     SCALARS,

@@ -186,7 +186,7 @@ impl LatencyHistogram {
 }
 
 /// One phase of a request's service time (see [`Trace::phase`] call
-/// sites in `server.rs` for exactly what each covers).
+/// sites in `server.rs` and `write.rs` for exactly what each covers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Request/query text parsing (incl. file→DOM parses).

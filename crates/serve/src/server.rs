@@ -1,22 +1,26 @@
-//! The concurrent transform-view server.
+//! The concurrent transform-view server: the read side and the request
+//! plumbing.
 //!
-//! [`Server`] owns five pieces and wires them together per request:
+//! [`Server`] owns a document store — immutable [`Document`]s behind
+//! `Arc`, or file paths streamed without ever building a DOM — the
+//! [`ViewRegistry`], two [`PreparedCache`]s (ad-hoc transforms by query
+//! text, composed user queries by `(view, query)`), the
+//! [`ViewResultCache`], and a [`ThreadPool`] for the batched and
+//! asynchronous entry points. The write pipeline behind
+//! [`Server::update_doc`] lives in `write.rs`, `EXPLAIN` / `ANALYZE` in
+//! [`crate::explain`], streaming sessions in [`crate::session`]. Here:
 //!
-//! 1. a document store — immutable [`Document`]s behind `Arc` (shared
-//!    zero-copy across threads) or file paths served via the streaming
-//!    SAX path without ever building a DOM;
-//! 2. the [`ViewRegistry`] of named, pre-compiled transform views;
-//! 3. two [`PreparedCache`]s — ad-hoc transforms keyed by query text,
-//!    and composed user queries keyed by `(view, query)`;
-//! 4. the [`ViewResultCache`] of materialized view results, consulted
-//!    by view reads and *maintained* (not just invalidated) by the live
-//!    write path [`Server::update_doc`];
-//! 5. a [`ThreadPool`] for the batched/asynchronous entry points.
+//! * **one request bracket** — `begin` / `finish` count, time and trace
+//!   every request, whether it came through [`Server::handle`], a
+//!   batch's grouped views, or a batch item whose worker panicked;
+//! * **one cache fill** — `fill` evaluates, serializes and caches views
+//!   for a private `VIEW` miss, a batch's grouped misses and the write
+//!   path's eager refill alike. The views `rides_shared_pass` admits
+//!   (single-link GENTOP) ride one [`multi_view_with_stats`] sweep and
+//!   take `r[[p]]` from it; everything else goes through `materialize`.
 //!
 //! Every evaluation runs the method its [`CompiledTransform`] fixed at
-//! compile time (GENTOP, or TD-BU when a qualifier has a `//` step);
-//! file-backed documents stream with twoPassSAX.
-//!
+//! compile time (GENTOP, or TD-BU when a qualifier has a `//` step).
 //! `Server` is `Clone` (a cheap `Arc` handle) and every entry point
 //! takes `&self`, so any number of client threads can call into one
 //! server concurrently — including writers: updates serialize per
@@ -29,26 +33,30 @@ use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 use xust_compose::{compose, compose_two_pass_sax, ComposedQuery, UserQuery};
-use xust_core::delta::{RenameMapping, TouchedLabels};
+use xust_core::delta::TouchedLabels;
 use xust_core::{
-    apply_update, intern, multi_top_down, multi_view_with_stats, parse_multi_transform, site_chain,
-    touched_labels_into, update_alphabet, value_alphabet_into, CompiledTransform, FragmentTree,
-    LabelSet, LdStorage, Method, SaxStats, TransformQuery, TransformStream, UpdateOp,
+    multi_top_down, multi_view_with_stats, CompiledTransform, FragmentTree, Method,
+    SharedViewResult, TransformQuery,
 };
-use xust_sax::{SaxEvent, SaxParser, SaxWriter};
+use xust_sax::SaxParser;
 use xust_secview::Policy;
-use xust_tree::{Document, NodeId};
-use xust_xpath::{eval_path_root, Path};
+use xust_tree::Document;
+use xust_xpath::eval_path_root;
 
 use crate::cache::PreparedCache;
 use crate::error::ServeError;
 use crate::executor::ThreadPool;
 use crate::obs::{Obs, Phase, Trace};
 use crate::registry::{ViewBody, ViewDef, ViewRegistry};
-use crate::stats::{ServeStats, StatsSnapshot, Verb};
-use crate::store::{DocStore, StoreSnapshot, StoreUpdateError, WriteStamp};
-use crate::viewcache::{DeltaReplay, PatchCtx, PatchView, ViewResultCache};
+use crate::stats::{bump, ServeStats, StatsSnapshot, Verb};
+use crate::store::{DocStore, StoreSnapshot, WriteStamp};
+use crate::viewcache::ViewResultCache;
 use crate::wal::{Wal, WalRecord};
+use crate::write::{frag_leaf_limit, handle_update};
+
+// Moved out along the module's seams; the old paths keep working.
+pub use crate::explain::{Analysis, Explanation, LinkPlan};
+pub use crate::session::StreamingSession;
 
 /// Where a named document lives.
 #[derive(Debug, Clone)]
@@ -63,26 +71,18 @@ pub enum DocSource {
 /// store's *current* epoch directly (one shard lock for its one
 /// lookup), while batch items share one pinned [`StoreSnapshot`] so
 /// every item sees the same document world.
-enum DocView<'a> {
+pub(crate) enum DocView<'a> {
     Live(&'a DocStore),
     Pinned(&'a StoreSnapshot),
 }
 
 impl DocView<'_> {
-    fn get(&self, name: &str) -> Result<DocSource, ServeError> {
-        match self {
-            DocView::Live(store) => store.get(name),
-            DocView::Pinned(snap) => snap.get(name).cloned(),
-        }
-        .ok_or_else(|| ServeError::UnknownDoc(name.to_string()))
-    }
-
     /// Resolves `name` together with the version of its content — read
     /// atomically (one shard read lock on the Live path; lock-free on a
     /// snapshot), so the returned source provably *is* the returned
     /// version. Pair with [`DocView::still_at`] before caching a result
     /// computed from the source.
-    fn get_versioned(&self, name: &str) -> Result<(DocSource, u64), ServeError> {
+    pub(crate) fn get_versioned(&self, name: &str) -> Result<(DocSource, u64), ServeError> {
         match self {
             DocView::Live(store) => store.get_versioned(name).map(|d| (d.source, d.version)),
             DocView::Pinned(snap) => snap
@@ -102,7 +102,7 @@ impl DocView<'_> {
     /// is immutable, so its reads are always self-consistent (the
     /// result-cache insert guard keeps its possibly-old entry from ever
     /// downgrading a newer resident one).
-    fn still_at(&self, name: &str, version: u64) -> bool {
+    pub(crate) fn still_at(&self, name: &str, version: u64) -> bool {
         match self {
             DocView::Live(store) => store.version_of(name) == Some(version),
             DocView::Pinned(_) => true,
@@ -266,32 +266,32 @@ impl ServerBuilder {
     }
 }
 
-struct Inner {
-    docs: DocStore,
-    registry: ViewRegistry,
-    transforms: PreparedCache<CompiledTransform>,
-    composed: PreparedCache<ComposedQuery>,
-    results: ViewResultCache,
-    stats: ServeStats,
-    obs: Obs,
-    pool: ThreadPool,
+pub(crate) struct Inner {
+    pub(crate) docs: DocStore,
+    pub(crate) registry: ViewRegistry,
+    pub(crate) transforms: PreparedCache<CompiledTransform>,
+    pub(crate) composed: PreparedCache<ComposedQuery>,
+    pub(crate) results: ViewResultCache,
+    pub(crate) stats: ServeStats,
+    pub(crate) obs: Obs,
+    pub(crate) pool: ThreadPool,
     /// The attached write-ahead log, if any ([`Server::attach_wal`]).
     /// Every applied write appends its record *inside* the owning
     /// shard's write lock, so log order equals install order.
     // lock-order: this RwLock is only ever taken alone (clone the Arc
     // out, then release); the Wal's internal mutex nests inside a
     // DocStore shard write lock, never the reverse.
-    wal: RwLock<Option<Arc<Wal>>>,
+    pub(crate) wal: RwLock<Option<Arc<Wal>>>,
     /// Whether cached view results carry provenance fragment trees and
     /// single-rule writes may patch them in place (see
     /// [`ServerBuilder::patching`]).
-    patching: bool,
+    pub(crate) patching: bool,
 }
 
-/// True when a batched `VIEW` of `def` may ride a shared factorised
-/// pass: a live single-link view whose compiled method is GENTOP. The
-/// shared sweep checks qualifiers natively, like GENTOP, so a view the
-/// method rule sends to TD-BU keeps its private pass.
+/// The sharing rule: true when `def` rides the cache fill's shared
+/// factorised sweep — a live single-link view whose compiled method is
+/// GENTOP. The sweep checks qualifiers natively, like GENTOP, so a view
+/// the method rule sends to TD-BU keeps its private pass.
 fn rides_shared_pass(def: &ViewDef) -> bool {
     !def.analysis.dead && def.single().is_some_and(|l| l.method() == Method::TopDown)
 }
@@ -299,7 +299,7 @@ fn rides_shared_pass(def: &ViewDef) -> bool {
 /// See the module docs.
 #[derive(Clone)]
 pub struct Server {
-    inner: Arc<Inner>,
+    pub(crate) inner: Arc<Inner>,
 }
 
 impl Server {
@@ -342,34 +342,13 @@ impl Server {
     ) -> Result<WriteStamp, ServeError> {
         let name = name.into();
         let doc = Arc::new(doc);
-        let wal = self.wal_handle();
-        // Serialize for the log *outside* the shard lock; the log keeps
-        // the installed bytes, so replay needs no source file.
-        let record = wal.as_ref().map(|_| WalRecord::Load {
-            doc: name.clone(),
-            xml: doc.serialize(),
-        });
-        let installed = self.inner.docs.insert_with(
-            name.clone(),
-            DocSource::Memory(doc),
-            // lock-order: shard write lock → Wal mutex.
-            |_| match (&wal, &record) {
-                (Some(w), Some(r)) => w
-                    .append(r)
-                    .map_err(|e| ServeError::Io(format!("wal append: {e}"))),
-                _ => Ok(()),
-            },
-        );
-        let stamp = match installed {
-            Ok(stamp) => stamp,
-            Err(e) => {
-                self.inner.stats.record_verb(Verb::Load, false);
-                return Err(e);
-            }
-        };
-        self.inner.results.purge_doc(&name);
-        self.inner.stats.record_verb(Verb::Load, true);
-        Ok(stamp)
+        // The log keeps the installed bytes, so replay needs no source
+        // file.
+        let xml = Arc::clone(&doc);
+        self.install(name.clone(), DocSource::Memory(doc), || WalRecord::Load {
+            doc: name,
+            xml: xml.serialize(),
+        })
     }
 
     /// Parses and loads a document from XML text.
@@ -403,32 +382,37 @@ impl Server {
             return Err(ServeError::Io(format!("{}: not a file", path.display())));
         }
         let name = name.into();
-        let wal = self.wal_handle();
-        let record = wal.as_ref().map(|_| WalRecord::LoadFile {
-            doc: name.clone(),
-            path: path.display().to_string(),
-        });
-        let installed = self.inner.docs.insert_with(
-            name.clone(),
-            DocSource::File(path),
-            // lock-order: shard write lock → Wal mutex.
-            |_| match (&wal, &record) {
-                (Some(w), Some(r)) => w
-                    .append(r)
-                    .map_err(|e| ServeError::Io(format!("wal append: {e}"))),
-                _ => Ok(()),
-            },
-        );
-        let stamp = match installed {
-            Ok(stamp) => stamp,
-            Err(e) => {
-                self.inner.stats.record_verb(Verb::Load, false);
-                return Err(e);
+        self.install(name.clone(), DocSource::File(path.clone()), || {
+            WalRecord::LoadFile {
+                doc: name,
+                path: path.display().to_string(),
             }
-        };
-        self.inner.results.purge_doc(&name);
-        self.inner.stats.record_verb(Verb::Load, true);
-        Ok(stamp)
+        })
+    }
+
+    /// Installs `source` under `name` — a `LOAD` — and drops the
+    /// document's view-result cache shard. With a WAL attached, the
+    /// record is built outside the shard lock and appended under it
+    /// before the install, so on append failure nothing is installed.
+    fn install(
+        &self,
+        name: String,
+        source: DocSource,
+        record: impl FnOnce() -> WalRecord,
+    ) -> Result<WriteStamp, ServeError> {
+        let wal = self.wal_handle();
+        let record = wal.as_ref().map(|_| record());
+        let installed = self.inner.docs.insert_with(name.clone(), source, |_| {
+            // lock-order: shard write lock → Wal mutex.
+            log(wal.as_deref(), || {
+                record.expect("built for the attached log")
+            })
+        });
+        if installed.is_ok() {
+            self.inner.results.purge_doc(&name);
+        }
+        self.inner.stats.record_verb(Verb::Load, installed.is_ok());
+        installed
     }
 
     /// Unloads a document; true if it existed. Snapshots taken before
@@ -448,18 +432,12 @@ impl Server {
     /// installed, and on append failure the document stays.
     pub fn try_remove_doc(&self, name: &str) -> Result<bool, ServeError> {
         let wal = self.wal_handle();
-        let removed = self.inner.docs.remove_with(
-            name,
+        let removed = self.inner.docs.remove_with(name, || {
             // lock-order: shard write lock → Wal mutex.
-            || match &wal {
-                Some(w) => w
-                    .append(&WalRecord::Remove {
-                        doc: name.to_string(),
-                    })
-                    .map_err(|e| ServeError::Io(format!("wal append: {e}"))),
-                None => Ok(()),
-            },
-        )?;
+            log(wal.as_deref(), || WalRecord::Remove {
+                doc: name.to_string(),
+            })
+        })?;
         if removed {
             self.inner.results.purge_doc(name);
             // The per-doc stats row goes with the document (a server
@@ -495,7 +473,7 @@ impl Server {
 
     /// The attached WAL, cloned out so no caller ever holds the
     /// registration lock while appending.
-    fn wal_handle(&self) -> Option<Arc<Wal>> {
+    pub(crate) fn wal_handle(&self) -> Option<Arc<Wal>> {
         self.inner.wal.read().expect("wal lock poisoned").clone()
     }
 
@@ -561,16 +539,8 @@ impl Server {
         *self.inner.wal.write().expect("wal lock poisoned") = Some(Arc::new(wal));
         // Recovery is part of the server's operational record: surface
         // it in STATS/METRICS, not just the attach call's return value.
-        self.inner
-            .stats
-            .wal_recovered
-            .fetch_add(applied as u64, std::sync::atomic::Ordering::Relaxed); // relaxed: monotone counter; no data published
-        if truncated {
-            self.inner
-                .stats
-                .wal_truncations
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed); // relaxed: monotone counter; no data published
-        }
+        bump(&self.inner.stats.wal_recovered, applied as u64);
+        bump(&self.inner.stats.wal_truncations, u64::from(truncated));
         Ok(WalRecovery { applied, truncated })
     }
 
@@ -581,8 +551,6 @@ impl Server {
     pub fn record_conn_failure(&self) {
         self.inner.stats.record_verb(Verb::Conn, false);
     }
-
-    // (document resolution for requests goes through [`DocView`])
 
     // ---- views ----
 
@@ -660,72 +628,70 @@ impl Server {
     /// Handles one request against an explicit document view — the unit
     /// of work the batch executor fans out (one pinned snapshot per
     /// batch, so all items see the same document world).
-    fn handle_in(&self, request: &Request, view: &DocView<'_>) -> Result<Response, ServeError> {
-        let started = Instant::now();
-        self.inner
-            .stats
-            .requests
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed); // relaxed: monotone counter; no data published
-        let verb = match request {
-            Request::View { .. } => Verb::View,
-            Request::Query { .. } => Verb::Query,
-            Request::Transform { .. } => Verb::Transform,
-            Request::Update { .. } => Verb::Update,
-        };
-        // The target string is built lazily — with tracing off, `begin`
-        // never calls the closure (no allocation on the fast path).
-        let mut rt = self.inner.obs.begin(verb, || match request {
-            Request::View { view, doc } | Request::Query { view, doc, .. } => {
-                format!("{view}/{doc}")
-            }
-            Request::Transform { doc, .. } | Request::Update { doc, .. } => doc.clone(),
-        });
+    fn handle_in(&self, request: &Request, docs: &DocView<'_>) -> Result<Response, ServeError> {
+        let (verb, view) = request.verb_and_view();
+        let mut b = self.begin(verb, || request.target());
+        let rt = &mut b.rt;
         let result = match request {
-            Request::View { view: v, doc } => self.handle_view(view, v, doc, &mut rt),
+            Request::View { view: v, doc } => self.handle_view(docs, v, doc, rt),
             Request::Query {
                 view: v,
                 doc,
                 query,
-            } => self.handle_query(view, v, doc, query, &mut rt),
-            Request::Transform { doc, query } => self.handle_transform(view, doc, query, &mut rt),
+            } => self.handle_query(docs, v, doc, query, rt),
+            Request::Transform { doc, query } => self.handle_transform(docs, doc, query, rt),
             // Writes always go to the live store — a pinned batch
             // snapshot is a *read* consistency device.
-            Request::Update { doc, update } => self.handle_update(doc, update, &mut rt),
+            Request::Update { doc, update } => handle_update(self, doc, update, rt),
         };
+        self.finish(b, view, result)
+    }
+
+    /// Opens a request's accounting bracket: counts the request and
+    /// begins its trace. The target string is built lazily — with
+    /// tracing off, the closure never runs (no allocation on the fast
+    /// path).
+    fn begin(&self, verb: Verb, target: impl FnOnce() -> String) -> Bracket {
+        bump(&self.inner.stats.requests, 1);
+        Bracket {
+            verb,
+            started: Instant::now(),
+            rt: self.inner.obs.begin(verb, target),
+        }
+    }
+
+    /// Closes a request's bracket with its outcome: busy time, the
+    /// per-verb series, the failure total, the view's latency cell
+    /// (merged lock-free when several workers report for one view), and
+    /// the trace. A response is stamped with its service time.
+    fn finish(
+        &self,
+        b: Bracket,
+        view: Option<&str>,
+        result: Result<Response, ServeError>,
+    ) -> Result<Response, ServeError> {
+        let stats = &self.inner.stats;
+        let Bracket {
+            verb,
+            started,
+            mut rt,
+        } = b;
         let micros = started.elapsed().as_micros() as u64;
-        self.inner
-            .stats
-            .busy_micros
-            .fetch_add(micros, std::sync::atomic::Ordering::Relaxed); // relaxed: monotone counter; no data published
-        self.inner.stats.record_verb(verb, result.is_ok());
-        let view_name = match request {
-            Request::View { view, .. } | Request::Query { view, .. } => Some(view.as_str()),
-            _ => None,
-        };
-        match result {
-            Ok(mut resp) => {
-                if let Some(view) = view_name {
-                    // Per-view latency feedback, merged lock-free (CAS)
-                    // when several executor workers report for the same
-                    // view at once.
-                    self.inner.stats.record_view_latency(view, micros as f64);
+        bump(&stats.busy_micros, micros);
+        stats.record_verb(verb, result.is_ok());
+        match &result {
+            Ok(resp) => {
+                if let Some(view) = view {
+                    stats.record_view_latency(view, micros as f64);
                 }
                 if let Some(m) = resp.method {
                     rt.set_method(m);
                 }
-                self.inner.obs.finish(rt, micros, true, view_name);
-                resp.micros = micros;
-                Ok(resp)
             }
-            Err(e) => {
-                self.inner
-                    .stats
-                    .failures
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed); // relaxed: monotone counter; no data published
-                self.inner.obs.finish(rt, micros, false, view_name);
-                Err(e)
-            }
+            Err(_) => bump(&stats.failures, 1),
         }
+        self.inner.obs.finish(rt, micros, result.is_ok(), view);
+        result.map(|resp| Response { micros, ..resp })
     }
 
     /// Enqueues one request on the worker pool; the receiver yields the
@@ -745,42 +711,19 @@ impl Server {
     /// latency cells as each item completes.
     ///
     /// `VIEW` items are additionally **grouped by document**: co-resident
-    /// single-link views of the same in-memory document ride one shared
-    /// factorised pass ([`multi_view_with_stats`]) instead of one full
-    /// tree sweep each — the `shared_passes` / `shared_pass_views`
-    /// counters report how often that happened.
+    /// single-link GENTOP views of the same in-memory document fill
+    /// their misses with one shared factorised pass
+    /// ([`multi_view_with_stats`]) instead of one full tree sweep each —
+    /// the `shared_passes` / `shared_pass_views` counters report how
+    /// often that happened.
     pub fn execute_batch(&self, requests: Vec<Request>) -> Vec<Result<Response, ServeError>> {
-        use std::collections::HashMap;
-        use std::sync::atomic::Ordering::Relaxed; // lint: atomic-ok (stats counters only)
-        self.inner.stats.batches.fetch_add(1, Relaxed); // relaxed: monotone counter; no data published
-        self.inner
-            .stats
-            .batch_items
-            .fetch_add(requests.len() as u64, Relaxed); // relaxed: monotone counter; no data published
+        bump(&self.inner.stats.batches, 1);
+        bump(&self.inner.stats.batch_items, requests.len() as u64);
         let snap = Arc::new(self.inner.docs.snapshot());
-        // Per-request (verb, view, trace target), kept on this side of
-        // the pool: when a worker panics mid-job, its items still owe
-        // the per-verb error series and the trace ring a record — the
-        // panic unwound past `handle_in`'s epilogue, so the accounting
-        // happens here instead.
-        let descs: Vec<(Verb, Option<String>, String)> = requests
-            .iter()
-            .map(|req| match req {
-                Request::View { view, doc } => {
-                    (Verb::View, Some(view.clone()), format!("{view}/{doc}"))
-                }
-                Request::Query { view, doc, .. } => {
-                    (Verb::Query, Some(view.clone()), format!("{view}/{doc}"))
-                }
-                Request::Transform { doc, .. } => (Verb::Transform, None, doc.clone()),
-                Request::Update { doc, .. } => (Verb::Update, None, doc.clone()),
-            })
-            .collect();
-        // Group `VIEW` items by document. Only single-link GENTOP views
-        // of in-memory documents can ride a shared pass (see
-        // `rides_shared_pass`); a group of one gains nothing and stays
-        // on the private path.
-        let mut by_doc: HashMap<String, Vec<usize>> = HashMap::new();
+        // Group `VIEW` items by document. Only views that ride the
+        // shared pass (`rides_shared_pass`) of in-memory documents are
+        // grouped; a group of one gains nothing and stays private.
+        let mut by_doc: HashMap<&str, Vec<usize>> = HashMap::new();
         for (i, req) in requests.iter().enumerate() {
             if let Request::View { view, doc } = req {
                 let groupable = matches!(snap.get(doc), Some(DocSource::Memory(_)))
@@ -790,65 +733,35 @@ impl Server {
                         .get(view)
                         .is_some_and(|def| rides_shared_pass(&def));
                 if groupable {
-                    by_doc.entry(doc.clone()).or_default().push(i);
+                    by_doc.entry(doc).or_default().push(i);
                 }
             }
         }
-        let groups: Vec<Vec<usize>> = by_doc
-            .into_values()
-            .filter(|idxs| idxs.len() >= 2)
+        let groups: Vec<Vec<usize>> = by_doc.into_values().filter(|g| g.len() >= 2).collect();
+        let mut grouped = vec![false; requests.len()];
+        for &i in groups.iter().flatten() {
+            grouped[i] = true;
+        }
+        // A job is the request indices it serves: one private item, or
+        // a group of two or more views of one document.
+        let jobs: Vec<Vec<usize>> = (0..requests.len())
+            .filter(|&i| !grouped[i])
+            .map(|i| vec![i])
+            .chain(groups)
             .collect();
-        enum Job {
-            One(usize, Request),
-            Group(String, Vec<(usize, String)>),
-        }
-        let mut group_of: HashMap<usize, usize> = HashMap::new();
-        for (g, idxs) in groups.iter().enumerate() {
-            for &i in idxs {
-                group_of.insert(i, g);
-            }
-        }
-        let mut group_doc: Vec<String> = vec![String::new(); groups.len()];
-        let mut group_items: Vec<Vec<(usize, String)>> = vec![Vec::new(); groups.len()];
-        let mut jobs: Vec<Job> = Vec::new();
-        for (i, req) in requests.into_iter().enumerate() {
-            match group_of.get(&i) {
-                Some(&g) => {
-                    let Request::View { view, doc } = req else {
-                        unreachable!("only VIEW items are grouped");
-                    };
-                    group_doc[g] = doc;
-                    group_items[g].push((i, view));
-                }
-                None => jobs.push(Job::One(i, req)),
-            }
-        }
-        for (g, items) in group_items.into_iter().enumerate() {
-            jobs.push(Job::Group(std::mem::take(&mut group_doc[g]), items));
-        }
-        // Which request indices each job carries — the panic accounting
-        // below needs them after the pool returns.
-        let job_indices: Vec<Vec<usize>> = jobs
-            .iter()
-            .map(|job| match job {
-                Job::One(i, _) => vec![*i],
-                Job::Group(_, items) => items.iter().map(|(i, _)| *i).collect(),
-            })
-            .collect();
-        let server = self.clone();
-        let (raw, steal) = self.inner.pool.run_batch(jobs, move |_, job| match job {
-            Job::One(i, req) => vec![(i, server.handle_in(&req, &DocView::Pinned(&snap)))],
-            Job::Group(doc, items) => {
-                server.handle_view_group(&doc, items, &DocView::Pinned(&snap))
+        let requests = Arc::new(requests);
+        let (server, reqs) = (self.clone(), Arc::clone(&requests));
+        let (raw, steal) = self.inner.pool.run_batch(jobs.clone(), move |_, job| {
+            let docs = DocView::Pinned(&snap);
+            match job[..] {
+                [i] => vec![(i, server.handle_in(&reqs[i], &docs))],
+                _ => server.handle_view_group(&reqs, job, &docs),
             }
         });
-        self.inner
-            .stats
-            .batch_steals
-            .fetch_add(steal.steals, Relaxed); // relaxed: monotone counter; no data published
+        bump(&self.inner.stats.batch_steals, steal.steals);
         let mut out: Vec<Option<Result<Response, ServeError>>> =
-            (0..descs.len()).map(|_| None).collect();
-        for (slot, job_result) in raw.into_iter().enumerate() {
+            (0..requests.len()).map(|_| None).collect();
+        for (job, job_result) in jobs.iter().zip(raw) {
             match job_result {
                 Some(pairs) => {
                     for (i, r) in pairs {
@@ -857,18 +770,13 @@ impl Server {
                 }
                 None => {
                     // The worker panicked mid-job: the panic unwound
-                    // past `handle_in`'s failure epilogue, so each item
-                    // gets it here instead. (An item the job had
+                    // past the items' brackets, so each item gets its
+                    // failure here instead. (An item the job had
                     // already *finished* before the panic is counted
                     // as both a success and this failure; the panic
                     // discarded its result either way.)
-                    for &i in &job_indices[slot] {
-                        let (verb, view, target) = &descs[i];
-                        out[i] = Some(Err(self.account_worker_panic(
-                            *verb,
-                            view.as_deref(),
-                            target,
-                        )));
+                    for &i in job {
+                        out[i] = Some(Err(self.account_worker_panic(&requests[i])));
                     }
                 }
             }
@@ -878,532 +786,108 @@ impl Server {
             .collect()
     }
 
-    /// The failure epilogue for a batch item whose worker panicked:
-    /// the per-verb error series, the failure total, and a trace
-    /// bracket — everything a failed `handle_in` would have recorded —
-    /// so `METRICS` and `TRACE` reflect panicked items like any other
+    /// The failure bracket for a batch item whose worker panicked, so
+    /// `METRICS` and `TRACE` reflect panicked items like any other
     /// failure. Returns the error the caller stores in the item's slot.
-    fn account_worker_panic(&self, verb: Verb, view: Option<&str>, target: &str) -> ServeError {
-        use std::sync::atomic::Ordering::Relaxed; // lint: atomic-ok (stats counters only)
-        self.inner.stats.record_verb(verb, false);
-        self.inner.stats.failures.fetch_add(1, Relaxed); // relaxed: monotone counter; no data published
-        let rt = self.inner.obs.begin(verb, || target.to_string());
-        self.inner.obs.finish(rt, 0, false, view);
-        ServeError::Eval("worker panicked".into())
+    fn account_worker_panic(&self, request: &Request) -> ServeError {
+        let (verb, view) = request.verb_and_view();
+        let b = self.begin(verb, || request.target());
+        let failed = Err(ServeError::Eval("worker panicked".into()));
+        self.finish(b, view, failed)
+            .expect_err("a failure stays a failure")
+    }
+
+    /// Serves a batch's grouped `VIEW` items (`group` indexes
+    /// `requests`) — several single-link GENTOP views of one in-memory
+    /// document — with at most **one** cache fill: each item gets its
+    /// own request bracket, cache hits peel off first, then every miss
+    /// rides the same fill (and so the same shared sweep). Items whose
+    /// grouping preconditions raced away (view re-registered, document
+    /// replaced or removed) take the private `handle_in` path instead.
+    fn handle_view_group(
+        &self,
+        requests: &[Request],
+        group: Vec<usize>,
+        docs: &DocView<'_>,
+    ) -> Vec<(usize, Result<Response, ServeError>)> {
+        let names = |i: usize| match &requests[i] {
+            Request::View { view, doc } => (view.as_str(), doc.as_str()),
+            _ => unreachable!("only VIEW items are grouped"),
+        };
+        let doc = names(group[0]).1;
+        let mut out: Vec<(usize, Result<Response, ServeError>)> = Vec::with_capacity(group.len());
+        // Re-check the grouping preconditions (registration and the
+        // snapshot can have moved since `execute_batch` scanned).
+        let resolved = docs.get_versioned(doc);
+        let mut shared: Vec<(usize, &str, Arc<ViewDef>)> = Vec::new();
+        for i in group {
+            let view = names(i).0;
+            match (&resolved, self.inner.registry.get(view)) {
+                (Ok((DocSource::Memory(_), _)), Some(def)) if rides_shared_pass(&def) => {
+                    shared.push((i, view, def))
+                }
+                _ => out.push((i, self.handle_in(&requests[i], docs))),
+            }
+        }
+        let Ok((DocSource::Memory(base), version)) = resolved else {
+            return out;
+        };
+        let mut pending: Vec<(usize, &str, Bracket)> = Vec::new();
+        let mut defs: Vec<Arc<ViewDef>> = Vec::new();
+        for (i, view, def) in shared {
+            let mut b = self.begin(Verb::View, || format!("{view}/{doc}"));
+            bump(&self.inner.stats.view_requests, 1);
+            match self.cached(&def, doc, version, &mut b.rt) {
+                Some(hit) => out.push((i, self.finish(b, Some(view), Ok(hit)))),
+                None => {
+                    pending.push((i, view, b));
+                    defs.push(def);
+                }
+            }
+        }
+        let mut rts: Vec<&mut Trace> = pending.iter_mut().map(|(_, _, b)| &mut b.rt).collect();
+        let filled = self.fill(doc, version, docs, &base, &defs, &mut rts);
+        for ((i, view, b), r) in pending.into_iter().zip(filled) {
+            let resp = r.map(|(body, method)| Response::filled(body, method));
+            out.push((i, self.finish(b, Some(view), resp)));
+        }
+        out
     }
 
     // ---- the live write path ----
 
     /// Applies an update — written in transform syntax, single or multi
     /// `modify do (…)` — **destructively** to the stored in-memory
-    /// document `doc`, copy-on-write into a fresh shard epoch. This is
-    /// the write path the paper's transform machinery earns its keep on:
+    /// document `doc`, copy-on-write into a fresh shard epoch:
     ///
     /// 1. the update is parsed (and, for single updates, NFA-compiled
     ///    through the prepared cache — repeat update shapes skip parse
     ///    and automaton construction like repeat reads do);
-    /// 2. its embedded updates are applied in order to a clone of the
-    ///    current epoch's tree, reusing the arena free-list for every
-    ///    deleted or replaced subtree, while the labels the write
-    ///    actually touches are collected as the *dynamic delta*;
-    /// 3. every cached view result for this document faces the delta
-    ///    relevance test ([`ViewResultCache::maintain`]): provably
-    ///    unaffected entries are retained — the same delta is applied to
-    ///    the cached materialization — and the rest are dropped for lazy
-    ///    recomputation, counted per view in STATS;
-    /// 4. the new tree is installed as the shard's next epoch. In-flight
-    ///    readers and snapshots keep the old epoch until they drop.
+    /// 2. with its WAL record appended first, the embedded updates are
+    ///    applied in order to a clone of the current epoch's tree
+    ///    (reusing the arena free-list for every deleted or replaced
+    ///    subtree), while the labels the write actually touches are
+    ///    collected as the *dynamic delta*;
+    /// 3. every cached view result for this document takes one fate
+    ///    ([`ViewResultCache::maintain`]): *retained* when the delta
+    ///    relevance test proves it unaffected (the same updates are
+    ///    replayed on the cached materialization), *patched* in place
+    ///    when a single-rule write localizes to a few fragments, or
+    ///    *recomputed* — dropped, and counted per view and per reason in
+    ///    STATS;
+    /// 4. the new tree is installed as the shard's next epoch (in-flight
+    ///    readers and snapshots keep the old epoch until they drop), and
+    ///    every dropped single-link entry is refilled eagerly over it —
+    ///    its GENTOP views in one shared sweep.
     ///
-    /// All-or-nothing: a parse error, a doc-name mismatch, an unknown or
-    /// file-backed document leave the epoch, the stored tree, and every
-    /// cached entry exactly as they were.
+    /// All-or-nothing: a parse error, a doc-name mismatch, a failed WAL
+    /// append, an unknown or file-backed document leave the epoch, the
+    /// stored tree, and every cached entry exactly as they were.
     pub fn update_doc(&self, doc: &str, update: &str) -> Result<Response, ServeError> {
         self.handle(&Request::Update {
             doc: doc.into(),
             update: update.into(),
         })
-    }
-
-    fn handle_update(
-        &self,
-        doc: &str,
-        update: &str,
-        rt: &mut Trace,
-    ) -> Result<Response, ServeError> {
-        use std::sync::atomic::Ordering::Relaxed; // lint: atomic-ok (stats counters only)
-        let stats = &self.inner.stats;
-        let t = rt.start();
-        let mq = parse_multi_transform(update).map_err(|e| ServeError::Parse(e.to_string()))?;
-        rt.phase(Phase::Parse, t);
-        if mq.doc_name != doc {
-            return Err(ServeError::Parse(format!(
-                "update reads doc(\"{}\") but targets loaded document '{doc}'",
-                mq.doc_name
-            )));
-        }
-        // Single updates reuse the transform prepared cache (same key
-        // space as ad-hoc reads — an UPDATE that mirrors a prepared
-        // TRANSFORM shares its compiled NFAs), compiling from the parse
-        // already in hand on a miss (this also keeps parenthesized
-        // single-update lists, `modify do (u1)`, working — they are
-        // valid multi syntax but not valid single syntax to re-parse).
-        // Multi updates carry one alphabet per rule, built fresh.
-        let t = rt.start();
-        let (ops, update_alpha, hit): (Vec<(Path, UpdateOp)>, LabelSet, bool) =
-            if mq.updates.len() == 1 {
-                let mut mq = mq;
-                let (path, op) = mq.updates.pop().expect("checked len == 1");
-                let query = xust_core::TransformQuery {
-                    var: mq.var,
-                    doc_name: mq.doc_name,
-                    path,
-                    op,
-                };
-                let (ct, hit) = self.inner.transforms.get_or_try_insert(
-                    update,
-                    || -> Result<_, ServeError> {
-                        stats.compiles.fetch_add(1, Relaxed); // relaxed: monotone counter; no data published
-                        Ok(CompiledTransform::compile(query))
-                    },
-                )?;
-                self.note_cache(hit);
-                rt.note_prepared(hit);
-                (
-                    vec![(ct.query().path.clone(), ct.query().op.clone())],
-                    ct.alphabet().clone(),
-                    hit,
-                )
-            } else {
-                let mut alpha = LabelSet::new();
-                for (path, op) in &mq.updates {
-                    alpha.union_with(&update_alphabet(path, op));
-                }
-                (mq.updates, alpha, false)
-            };
-        rt.phase(Phase::Cache, t);
-        // The value-sensitive slice of the update's selection: only
-        // qualifier-bearing reads — what the relevance test compares
-        // against the string values a view materialization perturbed.
-        let mut update_vals = LabelSet::new();
-        for (path, _) in &ops {
-            value_alphabet_into(path, &mut update_vals);
-        }
-        // The patch fate's view table — single-rule writes only
-        // (multi-rule writes interleave arena slot recycling between
-        // rules, so node ids captured for one rule can be stale by the
-        // next). Every live view is listed whatever `doc("…")` name it
-        // reads: VIEW serves any view over any loaded document, so this
-        // document's cache shard can hold entries of all of them.
-        // Resolved before the shard write lock: maintenance under the
-        // lock only does hash lookups.
-        let patching = self.inner.patching && ops.len() == 1;
-        let defs = if patching {
-            self.inner.registry.defs()
-        } else {
-            Vec::new()
-        };
-        let mut patch_views: HashMap<String, PatchView<'_>> = HashMap::new();
-        for def in defs.iter().filter(|def| !def.analysis.dead) {
-            let Some(link) = def.single() else { continue };
-            patch_views.insert(
-                def.cache_key.to_string(),
-                PatchView {
-                    ct: link,
-                    anchor_alphabet: &def.anchor_alphabet,
-                    generation: def.cache_generation,
-                },
-            );
-        }
-        let results = &self.inner.results;
-        let wal = self.wal_handle();
-        // The installed tree, smuggled out of the closure: the eager
-        // shared recompute below runs on it *after* the shard write
-        // lock is released.
-        let mut new_tree: Option<Arc<Document>> = None;
-        let (stamp, (outcome, targets)) = self
-            .inner
-            .docs
-            .update(doc, |stamp: WriteStamp, source| {
-                let DocSource::Memory(old) = source else {
-                    return Err(ServeError::Unsupported(format!(
-                        "UPDATE needs an in-memory document; '{doc}' is file-backed \
-                         (load it in memory to enable live updates)"
-                    )));
-                };
-                // Durability first: the record goes to the log before
-                // anything — tree clone, cache maintenance — mutates
-                // shared state, so a failed append leaves the write
-                // fully un-happened (all-or-nothing), and log order
-                // equals install order because both sit under this
-                // shard write lock.
-                // lock-order: shard write lock → Wal mutex.
-                if let Some(w) = &wal {
-                    w.append(&WalRecord::Update {
-                        doc: doc.to_string(),
-                        text: update.to_string(),
-                    })
-                    .map_err(|e| ServeError::Io(format!("wal append: {e}")))?;
-                }
-                let mut next = (**old).clone();
-                let mut delta = LabelSet::new();
-                let mut targets_total = 0usize;
-                // Old→new label mappings of the applied renames, in
-                // order: retained cache entries get the same renames
-                // applied to their trees, so their stored touched-label
-                // footprints must be carried into the new vocabulary
-                // (`TouchedLabels::apply_renames`) or later relevance
-                // tests would compare against pre-rename names.
-                let mut renames: Vec<RenameMapping> = Vec::new();
-                // Patch-fate inputs, collected against the pre-apply
-                // tree: one ancestor-or-self chain per update site
-                // (sites are chosen to survive the apply — the parent
-                // for structural/sibling ops, the target itself for
-                // renames and into-inserts), and the guard alphabet —
-                // every site-chain label plus rename target names —
-                // at which this write could flip a qualifier verdict.
-                let mut sites: Vec<Vec<NodeId>> = Vec::new();
-                let mut guard = LabelSet::new();
-                let t = rt.start();
-                for (path, op) in &ops {
-                    let matched = eval_path_root(&next, path);
-                    targets_total += matched.len();
-                    touched_labels_into(&next, &matched, op, &mut delta);
-                    if patching {
-                        for &m in &matched {
-                            let chain = site_chain(&next, update_site(&next, m, op));
-                            for &n in &chain {
-                                if let Some(l) = next.name(n) {
-                                    guard.insert(intern(l));
-                                }
-                            }
-                            sites.push(chain);
-                        }
-                    }
-                    if let UpdateOp::Rename { name } = op {
-                        renames.extend(RenameMapping::capture(&next, &matched, *name));
-                        guard.insert(*name);
-                    }
-                    apply_update(&mut next, &matched, op);
-                }
-                rt.phase(Phase::Eval, t);
-                // Maintenance runs while the shard write lock is held,
-                // so it is ordered exactly like the install it mirrors
-                // (two racing updates cannot maintain out of order). It
-                // sweeps only this document's cache shard: entries —
-                // and result reads — of every other document, same
-                // store shard or not, proceed untouched.
-                let t = rt.start();
-                let ctx = PatchCtx {
-                    base: &next,
-                    sites: &sites,
-                    guard: &guard,
-                    views: &patch_views,
-                };
-                let outcome = results.maintain(
-                    doc,
-                    stamp.prev_version,
-                    stamp.version,
-                    &update_alpha,
-                    &update_vals,
-                    &delta,
-                    &renames,
-                    patching.then_some(&ctx),
-                    &mut |cached| {
-                        let mut replay = DeltaReplay::default();
-                        for (path, op) in &ops {
-                            let matched = eval_path_root(cached, path);
-                            if patching {
-                                // Result-side chains for provenance
-                                // repair, read before the replay
-                                // mutates the cached tree.
-                                for &m in &matched {
-                                    replay
-                                        .chains
-                                        .push(site_chain(cached, update_site(cached, m, op)));
-                                }
-                            }
-                            apply_update(cached, &matched, op);
-                        }
-                        replay
-                    },
-                );
-                // Localization and splicing get their own phase when
-                // any entry took the patch fate; retention sweeps keep
-                // reporting as maintenance.
-                if outcome.patched.is_empty() {
-                    rt.phase(Phase::Maintain, t);
-                } else {
-                    rt.phase(Phase::Patch, t);
-                }
-                // The per-doc row is recorded here, still under the
-                // shard write lock, so it is ordered against a racing
-                // `remove_doc` (which takes the same lock to remove the
-                // doc and only then forgets the row): a write's row can
-                // never be re-created *after* the removal's cleanup —
-                // once the doc is gone, updates stop at NotFound.
-                stats.record_doc_delta(
-                    doc,
-                    outcome.retained.len() as u64,
-                    outcome.patched.len() as u64,
-                    outcome.patched_fragments,
-                    outcome.recomputed.len() as u64,
-                );
-                let next = Arc::new(next);
-                new_tree = Some(Arc::clone(&next));
-                Ok((DocSource::Memory(next), (outcome, targets_total)))
-            })
-            .map_err(|e| match e {
-                StoreUpdateError::NotFound => ServeError::UnknownDoc(doc.to_string()),
-                StoreUpdateError::Apply(e) => e,
-            })?;
-        stats.update_requests.fetch_add(1, Relaxed); // relaxed: monotone counter; no data published
-        for v in &outcome.retained {
-            stats.record_view_retained(v);
-        }
-        for v in &outcome.patched {
-            stats.record_view_patched(v);
-        }
-        stats
-            .patched_fragments
-            .fetch_add(outcome.patched_fragments, Relaxed); // relaxed: monotone counter; no data published
-        for (v, &why) in outcome.recomputed.iter().zip(&outcome.fallbacks) {
-            stats.record_view_recomputed(v, why);
-        }
-        // Every entry the write just dropped is recomputed eagerly in
-        // ONE factorised sweep over the new tree — outside the store
-        // shard lock and the cache mutex, so a k-view document's write
-        // holds shared state no longer than a 1-view document's (the
-        // per-view work above is delta bookkeeping, not evaluation).
-        if !outcome.recomputed.is_empty() {
-            let tree = new_tree.as_ref().expect("update installed a memory doc");
-            let t = rt.start();
-            self.shared_recompute(doc, stamp.version, tree, &outcome.recomputed);
-            rt.phase(Phase::Maintain, t);
-        }
-        Ok(Response {
-            body: format!(
-                "updated {doc} epoch={} version={} targets={targets} retained={} recomputed={} patched={}",
-                stamp.epoch,
-                stamp.version,
-                outcome.retained.len(),
-                outcome.recomputed.len(),
-                outcome.patched.len()
-            ),
-            method: None,
-            micros: 0,
-            cache_hit: hit,
-        })
-    }
-
-    /// Recomputes every single-link view a write just invalidated in
-    /// **one** factorised sweep over the installed tree, re-inserting
-    /// the results at the write's version so subsequent reads hit.
-    /// Multi-link chains and fused multi-transform views stay lazy
-    /// (their results depend on intermediate trees a shared pass over
-    /// the base cannot produce). A view that raced a re-registration
-    /// or removal since the maintain sweep simply drops out — the next
-    /// read recomputes it privately.
-    fn shared_recompute(&self, doc: &str, version: u64, tree: &Arc<Document>, names: &[String]) {
-        use std::sync::atomic::Ordering::Relaxed; // lint: atomic-ok (stats counters only)
-        let defs: Vec<Arc<ViewDef>> = names
-            .iter()
-            .filter_map(|n| self.inner.registry.get(n))
-            .filter(|def| def.single().is_some() && !def.analysis.dead)
-            .collect();
-        if defs.is_empty() {
-            return;
-        }
-        let queries: Vec<&TransformQuery> = defs
-            .iter()
-            .map(|def| def.single().expect("filtered on single()").query())
-            .collect();
-        let (outs, mv) = multi_view_with_stats(tree, &queries);
-        self.inner
-            .stats
-            .shared_passes
-            .fetch_add(mv.passes as u64, Relaxed); // relaxed: monotone counter; no data published
-        self.inner
-            .stats
-            .shared_pass_views
-            .fetch_add(mv.shared_views as u64, Relaxed); // relaxed: monotone counter; no data published
-                                                         // A second write racing past this one makes the inserts dead
-                                                         // weight at best — skip them (its own sweep recomputes at the
-                                                         // newer version; `insert` also never downgrades a newer
-                                                         // resident entry, so this check is an optimization, not the
-                                                         // correctness guard).
-        if !DocView::Live(&self.inner.docs).still_at(doc, version) {
-            return;
-        }
-        let leaf_limit = frag_leaf_limit(tree);
-        for (def, out) in defs.iter().zip(outs) {
-            let link = def.single().expect("filtered on single()");
-            let q = link.query();
-            let mut touched = TouchedLabels::new();
-            touched.record(tree, &out.targets, &q.op);
-            let body = out.doc.serialize();
-            let frags = self
-                .inner
-                .patching
-                .then(|| FragmentTree::build(tree, &out.doc, q, link.selecting(), leaf_limit))
-                .flatten();
-            self.inner.results.insert(
-                &def.cache_key,
-                doc,
-                version,
-                def.cache_generation,
-                out.doc,
-                body,
-                def.alphabet.clone(),
-                touched,
-                frags,
-            );
-        }
-    }
-
-    /// Serves a batch's grouped `VIEW` items — several single-link
-    /// views of the same in-memory document — with at most **one**
-    /// shared factorised pass: cache hits peel off first, then every
-    /// miss rides the same [`multi_view_with_stats`] sweep. Each item
-    /// gets the full per-request accounting `handle_in` would have
-    /// given it (request/verb counters, latency EWMA, trace bracket).
-    /// Items whose grouping preconditions raced away (view
-    /// re-registered, document replaced or removed) fall back to the
-    /// private `handle_in` path, which carries its own accounting.
-    fn handle_view_group(
-        &self,
-        doc: &str,
-        items: Vec<(usize, String)>,
-        docs: &DocView<'_>,
-    ) -> Vec<(usize, Result<Response, ServeError>)> {
-        use std::sync::atomic::Ordering::Relaxed; // lint: atomic-ok (stats counters only)
-        let stats = &self.inner.stats;
-        let mut out: Vec<(usize, Result<Response, ServeError>)> = Vec::with_capacity(items.len());
-        // Re-check the grouping preconditions (registration and the
-        // snapshot can have moved since `execute_batch` scanned).
-        let mut shared: Vec<(usize, String, Arc<ViewDef>)> = Vec::new();
-        let mut fallback: Vec<(usize, String)> = Vec::new();
-        for (idx, view) in items {
-            match self.inner.registry.get(&view) {
-                Some(def) if rides_shared_pass(&def) => shared.push((idx, view, def)),
-                _ => fallback.push((idx, view)),
-            }
-        }
-        let resolved = docs.get_versioned(doc);
-        let base = match &resolved {
-            Ok((DocSource::Memory(base), _)) => Some(Arc::clone(base)),
-            _ => None,
-        };
-        if base.is_none() {
-            // Unknown or file-backed document: nothing to share.
-            fallback.extend(shared.drain(..).map(|(idx, view, _)| (idx, view)));
-        }
-        for (idx, view) in fallback {
-            let req = Request::View {
-                view,
-                doc: doc.to_string(),
-            };
-            out.push((idx, self.handle_in(&req, docs)));
-        }
-        let Some(base) = base else {
-            return out;
-        };
-        let version = resolved.expect("base came from resolved").1;
-        // Per-item prologue (what `handle_in` does), with the cache
-        // probe peeling resident entries off the pass.
-        let mut pending: Vec<(usize, String, Arc<ViewDef>, Instant, Trace)> = Vec::new();
-        for (idx, view, def) in shared {
-            let started = Instant::now();
-            stats.requests.fetch_add(1, Relaxed); // relaxed: monotone counter; no data published
-            stats.view_requests.fetch_add(1, Relaxed); // relaxed: monotone counter; no data published
-            let mut rt = self.inner.obs.begin(Verb::View, || format!("{view}/{doc}"));
-            let t = rt.start();
-            let found = self
-                .inner
-                .results
-                .get(&def.cache_key, doc, version, def.cache_generation);
-            rt.phase(Phase::Cache, t);
-            rt.note_result(found.is_some());
-            if let Some(body) = found {
-                let micros = started.elapsed().as_micros() as u64;
-                stats.busy_micros.fetch_add(micros, Relaxed); // relaxed: monotone counter; no data published
-                stats.record_verb(Verb::View, true);
-                stats.record_view_latency(&view, micros as f64);
-                self.inner.obs.finish(rt, micros, true, Some(&view));
-                out.push((
-                    idx,
-                    Ok(Response {
-                        body: body.to_string(),
-                        method: None,
-                        micros,
-                        cache_hit: true,
-                    }),
-                ));
-            } else {
-                pending.push((idx, view, def, started, rt));
-            }
-        }
-        if pending.is_empty() {
-            return out;
-        }
-        // ONE sweep for every miss. Each item's Eval phase is charged
-        // the whole pass (it *is* the pass the item waited on).
-        let queries: Vec<&TransformQuery> = pending
-            .iter()
-            .map(|(_, _, def, _, _)| def.single().expect("re-checked above").query())
-            .collect();
-        let t = Instant::now();
-        let (results, mv) = multi_view_with_stats(&base, &queries);
-        let eval_micros = t.elapsed().as_micros() as u64;
-        stats.shared_passes.fetch_add(mv.passes as u64, Relaxed); // relaxed: monotone counter; no data published
-        stats
-            .shared_pass_views
-            .fetch_add(mv.shared_views as u64, Relaxed); // relaxed: monotone counter; no data published
-        let live = docs.still_at(doc, version);
-        let leaf_limit = frag_leaf_limit(&base);
-        for ((idx, view, def, started, mut rt), r) in pending.into_iter().zip(results) {
-            rt.phase_micros(Phase::Eval, eval_micros);
-            rt.set_method(Method::TopDown);
-            let t = rt.start();
-            let body = r.doc.serialize();
-            if live {
-                let link = def.single().expect("re-checked above");
-                let q = link.query();
-                let mut touched = TouchedLabels::new();
-                touched.record(&base, &r.targets, &q.op);
-                let frags = self
-                    .inner
-                    .patching
-                    .then(|| FragmentTree::build(&base, &r.doc, q, link.selecting(), leaf_limit))
-                    .flatten();
-                self.inner.results.insert(
-                    &def.cache_key,
-                    doc,
-                    version,
-                    def.cache_generation,
-                    r.doc,
-                    body.clone(),
-                    def.alphabet.clone(),
-                    touched,
-                    frags,
-                );
-            }
-            rt.phase(Phase::Serialize, t);
-            let micros = started.elapsed().as_micros() as u64;
-            stats.busy_micros.fetch_add(micros, Relaxed); // relaxed: monotone counter; no data published
-            stats.record_verb(Verb::View, true);
-            stats.record_view_latency(&view, micros as f64);
-            self.inner.obs.finish(rt, micros, true, Some(&view));
-            out.push((
-                idx,
-                Ok(Response {
-                    body,
-                    method: Some(Method::TopDown),
-                    micros,
-                    cache_hit: true, // views are pre-compiled at registration
-                }),
-            ));
-        }
-        out
     }
 
     // ---- introspection ----
@@ -1480,159 +964,23 @@ impl Server {
         self.inner.obs.render_traces(n)
     }
 
-    /// Reports — **without executing anything** — the plan a `VIEW
-    /// view doc` request would run: the method per link with the rule
-    /// behind it, the document shape, and whether the view-result cache
-    /// holds this (view, doc) at the current document version.
-    pub fn explain(&self, view: &str, doc: &str) -> Result<Explanation, ServeError> {
-        let result = self.explain_inner(view, doc);
-        self.inner.stats.record_verb(Verb::Explain, result.is_ok());
-        result
-    }
-
-    /// Reports — **without executing anything** — the registration-time
-    /// static analysis of a view: satisfiability (dead views select
-    /// nothing, ever), per-automaton dead-state counts, folded
-    /// qualifier terms, the static alphabet, and the containment
-    /// (cache-family) class the definition landed in.
-    pub fn analyze(&self, view: &str) -> Result<Analysis, ServeError> {
-        let result = self.analyze_inner(view);
-        self.inner.stats.record_verb(Verb::Analyze, result.is_ok());
-        result
-    }
-
-    fn analyze_inner(&self, view: &str) -> Result<Analysis, ServeError> {
-        let def = self
-            .inner
-            .registry
-            .get(view)
-            .ok_or_else(|| ServeError::UnknownView(view.to_string()))?;
-        let labels = |set: &LabelSet| -> Vec<String> {
-            let mut v: Vec<String> = set.iter().map(|s| s.as_str().to_string()).collect();
-            v.sort();
-            if set.has_wildcard() {
-                v.push("*".to_string());
-            }
-            v
-        };
-        let a = &def.analysis;
-        let family_members = self
-            .inner
-            .registry
-            .defs()
-            .iter()
-            .filter(|d| d.cache_key == def.cache_key)
-            .count();
-        Ok(Analysis {
-            view: def.name.clone(),
-            doc: def.doc_name.clone(),
-            dead: a.dead,
-            rules: def.rules().len(),
-            sel_states: a.sel_states,
-            sel_dead: a.sel_dead,
-            filt_states: a.filt_states,
-            filt_dead: a.filt_dead,
-            folded_qualifiers: a.folded_qualifiers,
-            alphabet: labels(&def.alphabet),
-            cache_key: def.cache_key.to_string(),
-            cache_generation: def.cache_generation,
-            family_members,
-            micros: a.micros,
-        })
-    }
-
-    fn explain_inner(&self, view: &str, doc: &str) -> Result<Explanation, ServeError> {
-        let def = self
-            .inner
-            .registry
-            .get(view)
-            .ok_or_else(|| ServeError::UnknownView(view.to_string()))?;
-        let (source, version) = DocView::Live(&self.inner.docs).get_versioned(doc)?;
-        let shape = match &source {
-            DocSource::Memory(d) => format!("memory nodes={}", d.arena_len()),
-            DocSource::File(path) => {
-                let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-                format!("file bytes={bytes}")
-            }
-        };
-        let mut explanation = Explanation {
-            view: view.to_string(),
-            doc: doc.to_string(),
-            version,
-            generation: def.generation,
-            shape,
-            dead: false,
-            result_cached: None,
-            links: Vec::new(),
-        };
-        // Mirrors `handle_view`'s routing: a dead view of an in-memory
-        // document serves the base document and evaluates nothing.
-        if def.analysis.dead && matches!(&source, DocSource::Memory(_)) {
-            explanation.dead = true;
-            return Ok(explanation);
-        }
-        explanation.links = match (&source, &def.body) {
-            (DocSource::File(_), ViewBody::Chain(chain)) if chain.len() == 1 => vec![LinkPlan {
-                index: 0,
-                method: Method::TwoPassSax,
-                reason: "file-backed",
-            }],
-            (_, ViewBody::Chain(chain)) => {
-                // `peek` is the non-perturbing probe: no hit/miss
-                // counted, no LRU bump — EXPLAIN must not change what it
-                // reports on.
-                if matches!(&source, DocSource::Memory(_)) {
-                    explanation.result_cached = Some(self.inner.results.peek(
-                        &def.cache_key,
-                        doc,
-                        version,
-                        def.cache_generation,
-                    ));
-                }
-                chain
-                    .iter()
-                    .enumerate()
-                    .map(|(index, link)| LinkPlan {
-                        index,
-                        method: link.method(),
-                        reason: match link.method() {
-                            Method::TwoPass => "qualifier with //",
-                            _ => "default",
-                        },
-                    })
-                    .collect()
-            }
-            (_, ViewBody::Multi(_)) => vec![LinkPlan {
-                index: 0,
-                method: Method::TopDown,
-                reason: "fused multi-update",
-            }],
-        };
-        Ok(explanation)
-    }
-
     // ---- request handlers ----
 
     fn handle_transform(
         &self,
-        view: &DocView<'_>,
+        docs: &DocView<'_>,
         doc: &str,
         query: &str,
         rt: &mut Trace,
     ) -> Result<Response, ServeError> {
-        self.inner
-            .stats
-            .transform_requests
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed); // relaxed: monotone counter; no data published
-        let t = rt.start();
-        let source = view.get(doc)?;
-        rt.phase(Phase::Snapshot, t);
         let stats = &self.inner.stats;
+        bump(&stats.transform_requests, 1);
+        let t = rt.start();
+        let (source, _) = docs.get_versioned(doc)?;
+        rt.phase(Phase::Snapshot, t);
         let t = rt.start();
         let (ct, hit) = self.inner.transforms.get_or_try_insert(query, || {
-            stats
-                .compiles
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed); // relaxed: monotone counter; no data published
+            bump(&stats.compiles, 1);
             CompiledTransform::parse(query).map_err(|e| ServeError::Parse(e.to_string()))
         })?;
         rt.phase(Phase::Cache, t);
@@ -1648,10 +996,7 @@ impl Server {
                 let mut body = String::new();
                 ct.evaluate_into(&d, method, &mut body)
                     .map_err(|e| ServeError::Eval(e.to_string()))?;
-                stats.count_method(method);
-                let eval_micros = t.elapsed().as_micros() as u64;
-                rt.phase_micros(Phase::Eval, eval_micros);
-                self.inner.obs.record_method(method, eval_micros);
+                self.evaluated(method, t, rt);
                 Ok(Response {
                     body,
                     method: Some(method),
@@ -1659,30 +1004,12 @@ impl Server {
                     cache_hit: hit,
                 })
             }
-            DocSource::File(path) => {
-                rt.note_plan(|| {
-                    let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                    format!("transform: file bytes={bytes} method=twoPassSAX")
-                });
-                let t = Instant::now();
-                // Streams the file (two buffered passes); only the
-                // serialized result is buffered for the response body.
-                let body = ct
-                    .evaluate_stream_file(&path)
-                    .map_err(|e| ServeError::Eval(e.to_string()))?;
-                stats.count_method(Method::TwoPassSax);
-                let eval_micros = t.elapsed().as_micros() as u64;
-                rt.phase_micros(Phase::Eval, eval_micros);
-                self.inner
-                    .obs
-                    .record_method(Method::TwoPassSax, eval_micros);
-                Ok(Response {
-                    body,
-                    method: Some(Method::TwoPassSax),
-                    micros: 0,
-                    cache_hit: hit,
-                })
-            }
+            DocSource::File(path) => Ok(Response {
+                body: self.stream_file(&ct, &path, "transform", rt)?,
+                method: Some(Method::TwoPassSax),
+                micros: 0,
+                cache_hit: hit,
+            }),
         }
     }
 
@@ -1693,30 +1020,25 @@ impl Server {
         doc: &str,
         rt: &mut Trace,
     ) -> Result<Response, ServeError> {
-        self.inner
-            .stats
-            .view_requests
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed); // relaxed: monotone counter; no data published
+        bump(&self.inner.stats.view_requests, 1);
         let def = self
             .inner
             .registry
             .get(view)
             .ok_or_else(|| ServeError::UnknownView(view.to_string()))?;
-        // Source and version are read atomically; the version is
-        // re-checked via `still_at` before the computed result is
-        // cached (a write racing in between would otherwise tag
-        // post-write content with the pre-write version, which a batch
-        // pinned to the old version would wrongly hit).
+        // Source and version are read atomically; the fill re-checks the
+        // version before caching (see `fill`).
         let t = rt.start();
         let (source, version) = docs.get_versioned(doc)?;
         rt.phase(Phase::Snapshot, t);
 
-        // A statically dead view selects nothing on any document: the
-        // materialization *is* the base document. Serve it directly —
-        // no evaluation, and no result-cache entry to maintain (the
-        // registration-time analysis already warned about the view).
-        if def.analysis.dead {
-            if let DocSource::Memory(base) = &source {
+        if let DocSource::Memory(base) = &source {
+            // A statically dead view selects nothing on any document:
+            // the materialization *is* the base document. Serve it
+            // directly — no evaluation, and no result-cache entry to
+            // maintain (the registration-time analysis already warned
+            // about the view).
+            if def.analysis.dead {
                 let t = rt.start();
                 let body = base.serialize();
                 rt.phase(Phase::Serialize, t);
@@ -1727,111 +1049,154 @@ impl Server {
                     cache_hit: true,
                 });
             }
-        }
-
-        // In-memory chain views are answered from the maintained
-        // view-result cache when the entry matches this document
-        // version (and this view definition's cache family generation)
-        // exactly. Entries are keyed by the definition's *cache family*
-        // ([`ViewDef::cache_key`]) — provably equivalent views share
-        // one entry per document version.
-        let cacheable = matches!(&source, DocSource::Memory(_))
-            && matches!(&def.body, ViewBody::Chain(_))
-            && !def.analysis.dead;
-        if cacheable {
-            // Hit/miss accounting lives in the cache itself (surfaced
-            // through `Server::stats`).
-            let t = rt.start();
-            let found = self
-                .inner
-                .results
-                .get(&def.cache_key, doc, version, def.cache_generation);
-            rt.phase(Phase::Cache, t);
-            rt.note_result(found.is_some());
-            if let Some(body) = found {
-                return Ok(Response {
-                    // The owned copy the response needs is made here,
-                    // outside the cache mutex — a hit only bumps a
-                    // refcount inside it.
-                    body: body.to_string(),
-                    method: None, // no evaluation ran at all
-                    micros: 0,
-                    cache_hit: true,
-                });
+            // In-memory chain views are answered from the maintained
+            // view-result cache when the entry matches this document
+            // version (and this view definition's cache family
+            // generation) exactly, and filled on a miss. Entries are
+            // keyed by the definition's *cache family*
+            // ([`ViewDef::cache_key`]) — provably equivalent views share
+            // one entry per document version.
+            if matches!(&def.body, ViewBody::Chain(_)) {
+                if let Some(hit) = self.cached(&def, doc, version, rt) {
+                    return Ok(hit);
+                }
+                let filled = self.fill(doc, version, docs, base, &[def], &mut [rt]);
+                let (body, method) = filled.into_iter().next().expect("one view filled")?;
+                return Ok(Response::filled(body, method));
             }
         }
 
-        // File-backed, single-link chains stream end to end: the input
-        // is never held in memory, only the response body.
+        // File-backed, single-link chains stream end to end.
         if let (DocSource::File(path), Some(link)) = (&source, def.single()) {
-            rt.note_plan(|| {
-                let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-                format!("link0: file bytes={bytes} method=twoPassSAX")
-            });
-            let t = Instant::now();
-            let body = link
-                .evaluate_stream_file(path)
-                .map_err(|e| ServeError::Eval(e.to_string()))?;
-            self.inner.stats.count_method(Method::TwoPassSax);
-            let eval_micros = t.elapsed().as_micros() as u64;
-            rt.phase_micros(Phase::Eval, eval_micros);
-            self.inner
-                .obs
-                .record_method(Method::TwoPassSax, eval_micros);
-            return Ok(Response {
-                body,
-                method: Some(Method::TwoPassSax),
-                micros: 0,
-                cache_hit: true, // compiled at registration; nothing built here
-            });
+            let body = self.stream_file(link, path, "link0", rt)?;
+            return Ok(Response::filled(body, Some(Method::TwoPassSax)));
         }
 
+        // Fused multi-update views, and multi-link chains over a
+        // file-backed document: evaluated per request, never cached.
         let t = rt.start();
         let base = self.base_document(&source)?;
         rt.phase(Phase::Parse, t);
-        let mut touched = cacheable.then(TouchedLabels::new);
-        let (out, method) = self.materialize(&def, &base, touched.as_mut(), rt)?;
+        let (out, method) = self.materialize(&def, &base, None, rt)?;
         let t = rt.start();
         let body = out.serialize();
-        // Cache only if no write landed since the versioned read: the
-        // version re-check makes tag and content provably consistent (a
-        // write between the check and the insert is fine — its
-        // maintenance sweep drops entries not at its pre-write version,
-        // and `insert` never downgrades a newer resident entry).
-        if let Some(touched) = touched {
-            if docs.still_at(doc, version) {
-                let frags = def
-                    .single()
-                    .filter(|_| self.inner.patching)
-                    .and_then(|link| {
-                        FragmentTree::build(
-                            &base,
-                            &out,
-                            link.query(),
-                            link.selecting(),
-                            frag_leaf_limit(&base),
-                        )
-                    });
-                self.inner.results.insert(
-                    &def.cache_key,
-                    doc,
-                    version,
-                    def.cache_generation,
-                    out,
-                    body.clone(),
-                    def.alphabet.clone(),
-                    touched,
-                    frags,
-                );
+        rt.phase(Phase::Serialize, t);
+        Ok(Response::filled(body, method))
+    }
+
+    /// Probes the result cache for `def` over `doc` at `version`. Hit
+    /// and miss accounting lives in the cache itself (surfaced through
+    /// [`Server::stats`]).
+    fn cached(&self, def: &ViewDef, doc: &str, version: u64, rt: &mut Trace) -> Option<Response> {
+        let t = rt.start();
+        let found = self
+            .inner
+            .results
+            .get(&def.cache_key, doc, version, def.cache_generation);
+        rt.phase(Phase::Cache, t);
+        rt.note_result(found.is_some());
+        found.map(|body| Response {
+            // The owned copy the response needs is made here, outside
+            // the cache mutex — a hit only bumps a refcount inside it.
+            body: body.to_string(),
+            method: None, // no evaluation ran at all
+            micros: 0,
+            cache_hit: true,
+        })
+    }
+
+    /// The one cache fill: evaluates each of `defs` (live chain views)
+    /// over `base` — the source `docs` resolved for `doc` at `version` —
+    /// serializes the result, and caches it with its touched labels and,
+    /// when patching, its fragment tree. Returns each view's body and
+    /// method, in `defs` order.
+    ///
+    /// Single-link GENTOP views (`rides_shared_pass`) ride one
+    /// [`multi_view_with_stats`] sweep and take `r[[p]]` from it (the
+    /// sweep collects nested matches under deleted nodes too), so they
+    /// run no separate selection walk. Every other view goes through
+    /// `materialize`. Each evaluated view counts once in the method
+    /// counters and histogram. `rts[i]` is charged view `i`'s evaluation
+    /// — for a swept view the whole sweep, which is what it waited on —
+    /// and its serialization.
+    pub(crate) fn fill(
+        &self,
+        doc: &str,
+        version: u64,
+        docs: &DocView<'_>,
+        base: &Arc<Document>,
+        defs: &[Arc<ViewDef>],
+        rts: &mut [&mut Trace],
+    ) -> Vec<Result<(String, Option<Method>), ServeError>> {
+        let inner = &self.inner;
+        let mut swept: Vec<Option<SharedViewResult>> = defs.iter().map(|_| None).collect();
+        let riders: Vec<usize> = (0..defs.len())
+            .filter(|&i| rides_shared_pass(&defs[i]))
+            .collect();
+        if !riders.is_empty() {
+            let queries: Vec<&TransformQuery> = riders
+                .iter()
+                .map(|&i| defs[i].single().expect("riders are single-link").query())
+                .collect();
+            let t = Instant::now();
+            let (results, mv) = multi_view_with_stats(base, &queries);
+            // A sweep that carries one view shares nothing, so only
+            // sweeps of two or more views count as shared passes.
+            if mv.shared_views >= 2 {
+                bump(&inner.stats.shared_passes, mv.passes as u64);
+                bump(&inner.stats.shared_pass_views, mv.shared_views as u64);
+            }
+            for (&i, r) in riders.iter().zip(results) {
+                rts[i].note_plan(|| {
+                    let (nodes, m) = (base.arena_len(), Method::TopDown);
+                    format!("link0: nodes={nodes} method={m} views={}", riders.len())
+                });
+                self.evaluated(Method::TopDown, t, rts[i]);
+                swept[i] = Some(r);
             }
         }
-        rt.phase(Phase::Serialize, t);
-        Ok(Response {
-            body,
-            method,
-            micros: 0,
-            cache_hit: true, // views are pre-compiled at registration
-        })
+        let leaf_limit = frag_leaf_limit(base);
+        defs.iter()
+            .zip(swept)
+            .zip(rts.iter_mut())
+            .map(|((def, swept), rt)| {
+                let mut touched = TouchedLabels::new();
+                let (out, method) = match (swept, def.single()) {
+                    (Some(r), Some(link)) => {
+                        touched.record(base, &r.targets, &link.query().op);
+                        (r.doc, Some(Method::TopDown))
+                    }
+                    _ => self.materialize(def, base, Some(&mut touched), rt)?,
+                };
+                let t = rt.start();
+                let body = out.serialize();
+                // Cache only if no write landed since the versioned
+                // read: the version re-check keeps a racing write from
+                // tagging post-write content with the pre-write version
+                // (a write between the check and the insert is fine —
+                // its maintenance sweep drops entries not at its
+                // pre-write version, and `insert` never downgrades a
+                // newer resident entry).
+                if docs.still_at(doc, version) {
+                    let frags = def.single().filter(|_| inner.patching).and_then(|link| {
+                        FragmentTree::build(base, &out, link.query(), link.selecting(), leaf_limit)
+                    });
+                    inner.results.insert(
+                        &def.cache_key,
+                        doc,
+                        version,
+                        def.cache_generation,
+                        out,
+                        body.clone(),
+                        def.alphabet.clone(),
+                        touched,
+                        frags,
+                    );
+                }
+                rt.phase(Phase::Serialize, t);
+                Ok((body, method))
+            })
+            .collect()
     }
 
     fn handle_query(
@@ -1842,17 +1207,14 @@ impl Server {
         query: &str,
         rt: &mut Trace,
     ) -> Result<Response, ServeError> {
-        self.inner
-            .stats
-            .query_requests
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed); // relaxed: monotone counter; no data published
+        bump(&self.inner.stats.query_requests, 1);
         let def = self
             .inner
             .registry
             .get(view)
             .ok_or_else(|| ServeError::UnknownView(view.to_string()))?;
         let t = rt.start();
-        let source = docs.get(doc)?;
+        let (source, _) = docs.get_versioned(doc)?;
         rt.phase(Phase::Snapshot, t);
 
         if let Some(link) = def.single() {
@@ -1861,13 +1223,7 @@ impl Server {
             // parses the user query per request and bypasses the cache
             // entirely (no phantom cache entries or composition counts).
             if let DocSource::File(path) = &source {
-                let uq = UserQuery::parse(query).map_err(|e| ServeError::Parse(e.to_string()))?;
-                if uq.doc_name != def.doc_name {
-                    return Err(ServeError::Parse(format!(
-                        "query reads doc(\"{}\") but view '{}' serves doc(\"{}\")",
-                        uq.doc_name, def.name, def.doc_name
-                    )));
-                }
+                let uq = user_query(&def, query)?;
                 let open = || SaxParser::from_file(path).map_err(|e| ServeError::Io(e.to_string()));
                 let mut out = Vec::new();
                 let t = rt.start();
@@ -1887,19 +1243,10 @@ impl Server {
             // repeats skip parsing and composition entirely.
             let key = format!("{view}\u{1f}{query}");
             let stats = &self.inner.stats;
-            let def_doc = &def.doc_name;
             let t = rt.start();
             let (qc, hit) = self.inner.composed.get_or_try_insert(&key, || {
-                let uq = UserQuery::parse(query).map_err(|e| ServeError::Parse(e.to_string()))?;
-                if uq.doc_name != *def_doc {
-                    return Err(ServeError::Parse(format!(
-                        "query reads doc(\"{}\") but view '{}' serves doc(\"{}\")",
-                        uq.doc_name, def.name, def_doc
-                    )));
-                }
-                stats
-                    .compositions
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed); // relaxed: monotone counter; no data published
+                let uq = user_query(&def, query)?;
+                bump(&stats.compositions, 1);
                 compose(link.query(), &uq).map_err(|e| ServeError::Parse(e.to_string()))
             })?;
             rt.phase(Phase::Cache, t);
@@ -1923,13 +1270,7 @@ impl Server {
 
         // Multi-link chains / snapshot policies: materialize the view,
         // then run the user query on the XQuery engine.
-        let uq = UserQuery::parse(query).map_err(|e| ServeError::Parse(e.to_string()))?;
-        if uq.doc_name != def.doc_name {
-            return Err(ServeError::Parse(format!(
-                "query reads doc(\"{}\") but view '{}' serves doc(\"{}\")",
-                uq.doc_name, def.name, def.doc_name
-            )));
-        }
+        let uq = user_query(&def, query)?;
         let t = rt.start();
         let base = self.base_document(&source)?;
         rt.phase(Phase::Parse, t);
@@ -1951,13 +1292,47 @@ impl Server {
 
     // ---- helpers ----
 
-    fn note_cache(&self, hit: bool) {
-        use std::sync::atomic::Ordering::Relaxed; // lint: atomic-ok (stats counters only)
-        if hit {
-            self.inner.stats.cache_hits.fetch_add(1, Relaxed); // relaxed: monotone counter; no data published
-        } else {
-            self.inner.stats.cache_misses.fetch_add(1, Relaxed); // relaxed: monotone counter; no data published
-        }
+    pub(crate) fn note_cache(&self, hit: bool) {
+        let stats = &self.inner.stats;
+        bump(
+            if hit {
+                &stats.cache_hits
+            } else {
+                &stats.cache_misses
+            },
+            1,
+        );
+    }
+
+    /// Charges one evaluation by `method`, started at `t`, to the method
+    /// counter and histogram and to the trace's Eval phase.
+    fn evaluated(&self, method: Method, t: Instant, rt: &mut Trace) {
+        let micros = t.elapsed().as_micros() as u64;
+        self.inner.stats.count_method(method);
+        rt.phase_micros(Phase::Eval, micros);
+        self.inner.obs.record_method(method, micros);
+    }
+
+    /// Streams the file at `path` through `ct` with twoPassSAX (two
+    /// buffered passes): the input is never held in memory, only the
+    /// reply body.
+    fn stream_file(
+        &self,
+        ct: &CompiledTransform,
+        path: &FsPath,
+        plan: &str,
+        rt: &mut Trace,
+    ) -> Result<String, ServeError> {
+        rt.note_plan(|| {
+            let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+            format!("{plan}: file bytes={bytes} method=twoPassSAX")
+        });
+        let t = Instant::now();
+        let body = ct
+            .evaluate_stream_file(path)
+            .map_err(|e| ServeError::Eval(e.to_string()))?;
+        self.evaluated(Method::TwoPassSax, t, rt);
+        Ok(body)
     }
 
     fn base_document(&self, source: &DocSource) -> Result<Arc<Document>, ServeError> {
@@ -1993,13 +1368,13 @@ impl Server {
                         None => base,
                     };
                     if let Some(touched) = touched.as_deref_mut() {
-                        // One extra selection pass per link, paid only on
-                        // result-cache *misses* (hits skip materialize
-                        // entirely, and writes maintain entries without
-                        // re-materializing) — the price of recording the
-                        // touched set without threading target lists
-                        // through every evaluation method. Traced under
-                        // Cache: it exists to make the result cacheable.
+                        // The link's `r[[p]]` needs its own selection
+                        // walk here: only TD-BU links and the links of
+                        // multi-link chains get here with `touched` (a
+                        // single-link GENTOP view takes its targets
+                        // from the fill's sweep), and only on a
+                        // result-cache miss. Traced under Cache: it
+                        // exists to make the result cacheable.
                         let t = rt.start();
                         let q = link.query();
                         let targets = eval_path_root(doc_ref, &q.path);
@@ -2014,10 +1389,7 @@ impl Server {
                     let next = link
                         .evaluate(doc_ref, method)
                         .map_err(|e| ServeError::Eval(e.to_string()))?;
-                    self.inner.stats.count_method(method);
-                    let eval_micros = t.elapsed().as_micros() as u64;
-                    rt.phase_micros(Phase::Eval, eval_micros);
-                    self.inner.obs.record_method(method, eval_micros);
+                    self.evaluated(method, t, rt);
                     last_method = Some(method);
                     current = Some(next);
                 }
@@ -2034,14 +1406,36 @@ impl Server {
                 });
                 let t = Instant::now();
                 let out = multi_top_down(base, mq);
-                self.inner.stats.count_method(Method::TopDown);
-                let eval_micros = t.elapsed().as_micros() as u64;
-                rt.phase_micros(Phase::Eval, eval_micros);
-                self.inner.obs.record_method(Method::TopDown, eval_micros);
+                self.evaluated(Method::TopDown, t, rt);
                 Ok((out, Some(Method::TopDown)))
             }
         }
     }
+}
+
+/// Appends `record` to `wal` when a log is attached. Writers call this
+/// under the owning shard's write lock, so log order equals install
+/// order.
+pub(crate) fn log(wal: Option<&Wal>, record: impl FnOnce() -> WalRecord) -> Result<(), ServeError> {
+    match wal {
+        Some(w) => w
+            .append(&record())
+            .map_err(|e| ServeError::Io(format!("wal append: {e}"))),
+        None => Ok(()),
+    }
+}
+
+/// Parses a user query, checking that it reads the document `def`
+/// serves.
+fn user_query(def: &ViewDef, query: &str) -> Result<UserQuery, ServeError> {
+    let uq = UserQuery::parse(query).map_err(|e| ServeError::Parse(e.to_string()))?;
+    if uq.doc_name != def.doc_name {
+        return Err(ServeError::Parse(format!(
+            "query reads doc(\"{}\") but view '{}' serves doc(\"{}\")",
+            uq.doc_name, def.name, def.doc_name
+        )));
+    }
+    Ok(uq)
 }
 
 impl Default for Server {
@@ -2050,313 +1444,47 @@ impl Default for Server {
     }
 }
 
-/// The update site whose ancestor-or-self chain localizes one target's
-/// effect: the node that both *survives* the apply and *covers* every
-/// node the op touches. Renames and into-inserts edit under the target,
-/// so the target itself qualifies; deletes, replaces, and sibling
-/// inserts change the target's parent's child list, so the parent is
-/// the deepest surviving cover (a replaced root falls back to itself —
-/// its chain then hits the root fragment and patching degrades to
-/// recompute, which is correct).
-fn update_site(doc: &Document, target: NodeId, op: &UpdateOp) -> NodeId {
-    match op {
-        UpdateOp::Rename { .. } => target,
-        UpdateOp::Insert { pos, .. } if !pos.is_sibling() => target,
-        _ => doc.parent(target).unwrap_or(target),
-    }
-}
-
-/// Provenance granularity for one materialization: aim for fragments
-/// of ~1/64th of the base document, clamped so tiny documents still
-/// split (exercising the patch path) and huge ones don't track tens of
-/// thousands of fragments. Sized from the live arena slots rather than
-/// an O(|T|) walk: served documents delete (recycling slots) and never
-/// detach, so the two counts agree.
-fn frag_leaf_limit(base: &Document) -> usize {
-    ((base.arena_len() - base.free_slots()) / 64).clamp(8, 512)
-}
-
-/// What [`Server::explain`] reports: the plan a `VIEW view doc`
-/// request would run.
-#[derive(Debug, Clone)]
-pub struct Explanation {
-    /// The view being explained.
-    pub view: String,
-    /// The target document.
-    pub doc: String,
-    /// The document's current version (what cache residency is keyed
-    /// on).
-    pub version: u64,
-    /// The view definition's generation.
-    pub generation: u64,
-    /// Human-readable document shape (`memory nodes=…` / `file
-    /// bytes=…`).
-    pub shape: String,
-    /// True when the view is statically dead: `VIEW` serves the base
-    /// document without evaluating anything, so there are no links.
-    pub dead: bool,
-    /// View-result-cache residency at (version, generation): `None`
-    /// when the (source, body) combination is not cacheable at all.
-    pub result_cached: Option<bool>,
-    /// Per-link plans, in evaluation order.
-    pub links: Vec<LinkPlan>,
-}
-
-/// One link's plan inside an [`Explanation`].
-#[derive(Debug, Clone)]
-pub struct LinkPlan {
-    /// Position in the view's chain.
-    pub index: usize,
-    /// The method the link evaluates with.
-    pub method: Method,
-    /// Why: `default` (GENTOP), `qualifier with //` (TD-BU),
-    /// `file-backed` (twoPassSAX) or `fused multi-update`.
-    pub reason: &'static str,
-}
-
-impl std::fmt::Display for Explanation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "explain view={} doc={} version={} generation={} shape[{}] result_cache={}",
-            self.view,
-            self.doc,
-            self.version,
-            self.generation,
-            self.shape,
-            match self.result_cached {
-                Some(true) => "hit",
-                Some(false) => "miss",
-                None => "n/a",
-            }
-        )?;
-        if self.dead {
-            write!(f, "\ndead (serves the base document)")?;
+impl Request {
+    /// The request's verb and, for view reads, its view name.
+    fn verb_and_view(&self) -> (Verb, Option<&str>) {
+        match self {
+            Request::View { view, .. } => (Verb::View, Some(view)),
+            Request::Query { view, .. } => (Verb::Query, Some(view)),
+            Request::Transform { .. } => (Verb::Transform, None),
+            Request::Update { .. } => (Verb::Update, None),
         }
-        for link in &self.links {
-            write!(
-                f,
-                "\nlink {}: method={} ({})",
-                link.index, link.method, link.reason
-            )?;
-        }
-        Ok(())
     }
-}
 
-/// What [`Server::analyze`] reports: the registration-time static
-/// analysis of one view, exactly as the hot paths consume it. Nothing
-/// here is recomputed — the report *is* the stored
-/// [`xust_analyze::ViewAnalysis`] plus the containment-class
-/// bookkeeping.
-#[derive(Debug, Clone)]
-pub struct Analysis {
-    /// The view analyzed.
-    pub view: String,
-    /// The document the view reads.
-    pub doc: String,
-    /// True when no rule can ever select a node (the view is the
-    /// identity transform; it is excluded from caching and grouping).
-    pub dead: bool,
-    /// Transform rules in the definition (chain links or fused rules).
-    pub rules: usize,
-    /// Selecting-NFA states, summed over rules.
-    pub sel_states: usize,
-    /// Dead selecting-NFA states (unreachable or non-co-reachable).
-    pub sel_dead: usize,
-    /// Filtering-NFA states, summed over rules.
-    pub filt_states: usize,
-    /// Dead filtering-NFA states.
-    pub filt_dead: usize,
-    /// Qualifier (sub-)terms eliminated by constant folding.
-    pub folded_qualifiers: usize,
-    /// The view's static alphabet, sorted (`*` marks a wildcard).
-    pub alphabet: Vec<String>,
-    /// The cache family (containment class) the definition landed in.
-    pub cache_key: String,
-    /// The family's cache generation.
-    pub cache_generation: u64,
-    /// Live views sharing this cache family (including this one).
-    pub family_members: usize,
-    /// Wall-clock cost of the registration-time analysis.
-    pub micros: u64,
-}
-
-impl std::fmt::Display for Analysis {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "analyze view={} doc={} dead={} rules={} analysis_micros={}",
-            self.view, self.doc, self.dead, self.rules, self.micros
-        )?;
-        write!(
-            f,
-            "\nnfa: selecting states={} dead={} filtering states={} dead={} folded_qualifiers={}",
-            self.sel_states,
-            self.sel_dead,
-            self.filt_states,
-            self.filt_dead,
-            self.folded_qualifiers
-        )?;
-        write!(f, "\nalphabet: {{{}}}", self.alphabet.join(","))?;
-        write!(
-            f,
-            "\nfamily: key={} generation={} members={}",
-            self.cache_key, self.cache_generation, self.family_members
-        )
-    }
-}
-
-// ---- streaming sessions ----
-
-impl Server {
-    /// Opens a [`StreamingSession`]: the client streams a document as
-    /// SAX events — twice, mirroring the two-pass discipline — and
-    /// receives the transformed output incrementally. The input tree is
-    /// **never materialized**; session memory is O(depth · |p|) + |Ld|
-    /// regardless of document size.
-    ///
-    /// The transform is resolved through the prepared cache (repeat
-    /// sessions skip parse + NFA construction), and the session pins a
-    /// store snapshot for its lifetime so the server's epoch bookkeeping
-    /// can prove abandoned sessions release their resources.
-    pub fn begin_stream(&self, query: &str) -> Result<StreamingSession, ServeError> {
-        use std::sync::atomic::Ordering::Relaxed; // lint: atomic-ok (stats counters only)
-        self.inner.stats.requests.fetch_add(1, Relaxed); // relaxed: monotone counter; no data published
-        self.inner.stats.stream_sessions.fetch_add(1, Relaxed); // relaxed: monotone counter; no data published
-        let stats = &self.inner.stats;
-        let compiled = self.inner.transforms.get_or_try_insert(query, || {
-            stats.compiles.fetch_add(1, Relaxed); // relaxed: monotone counter; no data published
-            CompiledTransform::parse(query).map_err(|e| ServeError::Parse(e.to_string()))
-        });
-        let (ct, hit) = match compiled {
-            Ok(v) => v,
-            Err(e) => {
-                stats.failures.fetch_add(1, Relaxed); // relaxed: monotone counter; no data published
-                stats.record_verb(Verb::Stream, false);
-                return Err(e);
+    /// The trace target: `view/doc` for view reads, else the document.
+    fn target(&self) -> String {
+        match self {
+            Request::View { view, doc } | Request::Query { view, doc, .. } => {
+                format!("{view}/{doc}")
             }
-        };
-        stats.record_verb(Verb::Stream, true);
-        self.note_cache(hit);
-        let stream = ct.stream(LdStorage::Memory);
-        Ok(StreamingSession {
-            server: self.clone(),
-            stream,
-            writer: SaxWriter::new(Vec::new()),
-            started: Instant::now(),
-            cache_hit: hit,
-            _snapshot: self.inner.docs.snapshot(),
-        })
+            Request::Transform { doc, .. } | Request::Update { doc, .. } => doc.clone(),
+        }
     }
 }
 
-/// One client's streaming transform session (see
-/// [`Server::begin_stream`]). Protocol:
-///
-/// 1. [`feed`](StreamingSession::feed) every event of the document
-///    (pass 1 — qualifier evaluation);
-/// 2. [`begin_replay`](StreamingSession::begin_replay) once;
-/// 3. [`replay`](StreamingSession::replay) the same events again; each
-///    call returns the transformed output bytes produced *so far* —
-///    ship them to the client immediately (backpressure lives in the
-///    caller's writer);
-/// 4. [`finish`](StreamingSession::finish) to flush the tail and
-///    collect statistics.
-///
-/// Dropping a session at any point — client disconnect, malformed
-/// input, truncation — releases its store snapshot and leaves the
-/// server untouched; the error paths are exercised by
-/// `tests/failure_injection.rs`.
-pub struct StreamingSession {
-    server: Server,
-    stream: TransformStream,
-    writer: SaxWriter<Vec<u8>>,
+impl Response {
+    /// A freshly evaluated view body. Views are compiled at
+    /// registration, so nothing prepared was built for it.
+    fn filled(body: String, method: Option<Method>) -> Response {
+        Response {
+            body,
+            method,
+            micros: 0,
+            cache_hit: true,
+        }
+    }
+}
+
+/// One request's accounting bracket, from [`Server`]'s `begin` to its
+/// `finish`.
+struct Bracket {
+    verb: Verb,
     started: Instant,
-    cache_hit: bool,
-    /// Pins the store epoch for the session's lifetime; released on drop.
-    _snapshot: StoreSnapshot,
-}
-
-/// Adapter: a [`xust_core::EventSink`] writing into the session's
-/// drainable buffer.
-struct SessionSink<'a> {
-    w: &'a mut SaxWriter<Vec<u8>>,
-}
-
-impl xust_core::EventSink for SessionSink<'_> {
-    fn event(&mut self, ev: SaxEvent) -> Result<(), xust_core::SaxTransformError> {
-        self.w
-            .write_event(&ev)
-            .map_err(xust_core::SaxTransformError::Sax)
-    }
-}
-
-impl StreamingSession {
-    /// True when the transform came from the prepared cache.
-    pub fn cache_hit(&self) -> bool {
-        self.cache_hit
-    }
-
-    /// Feeds one pass-1 event.
-    pub fn feed(&mut self, ev: SaxEvent) -> Result<(), ServeError> {
-        self.stream
-            .feed(ev)
-            .map_err(|e| ServeError::Eval(e.to_string()))
-    }
-
-    /// Seals pass 1 and arms the replay. Errors on truncated input.
-    pub fn begin_replay(&mut self) -> Result<(), ServeError> {
-        self.stream
-            .begin_replay()
-            .map_err(|e| ServeError::Eval(e.to_string()))
-    }
-
-    /// Feeds one pass-2 event and drains whatever transformed output it
-    /// produced (possibly empty — e.g. inside a deleted subtree).
-    pub fn replay(&mut self, ev: SaxEvent) -> Result<Vec<u8>, ServeError> {
-        let mut sink = SessionSink {
-            w: &mut self.writer,
-        };
-        self.stream
-            .replay(ev, &mut sink)
-            .map_err(|e| ServeError::Eval(e.to_string()))?;
-        Ok(std::mem::take(self.writer.get_mut()))
-    }
-
-    /// Transformed output bytes emitted so far.
-    pub fn bytes_emitted(&self) -> u64 {
-        self.writer.bytes_written()
-    }
-
-    /// Wall-clock time since the session was opened.
-    pub fn elapsed(&self) -> std::time::Duration {
-        self.started.elapsed()
-    }
-
-    /// Ends the session: validates the output is balanced, counts the
-    /// execution, and returns `(tail output, streaming statistics)`.
-    ///
-    /// The session's wall-clock is *client-paced* (the caller feeds
-    /// events at whatever rate the network delivers them), so it is
-    /// deliberately NOT recorded in the per-method latency histogram —
-    /// one slow client must not make `TwoPassSax` look slow for
-    /// everyone else.
-    pub fn finish(mut self) -> Result<(Vec<u8>, SaxStats), ServeError> {
-        let mut sink = SessionSink {
-            w: &mut self.writer,
-        };
-        let stats = self
-            .stream
-            .finish(&mut sink)
-            .map_err(|e| ServeError::Eval(e.to_string()))?;
-        let tail = std::mem::take(self.writer.get_mut());
-        // An unbalanced *output* (truncated pass 2) is caught by
-        // TransformStream::finish above; the writer depth double-checks.
-        debug_assert_eq!(self.writer.depth(), 0);
-        self.server.inner.stats.count_method(Method::TwoPassSax);
-        Ok((tail, stats))
-    }
+    rt: Trace,
 }
 
 #[cfg(test)]
@@ -2373,7 +1501,10 @@ mod tests {
     fn worker_panic_accounting_matches_failed_requests() {
         let server = Server::builder().threads(1).build();
         let traced_before = server.inner.obs.requests_traced();
-        let e = server.account_worker_panic(Verb::View, Some("v"), "v/db");
+        let e = server.account_worker_panic(&Request::View {
+            view: "v".into(),
+            doc: "db".into(),
+        });
         assert!(matches!(e, ServeError::Eval(_)));
         assert_eq!(
             server.inner.stats.verb_counts(Verb::View),

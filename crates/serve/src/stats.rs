@@ -213,7 +213,8 @@ fn ld(counter: &AtomicU64) -> u64 {
     counter.load(Ordering::Relaxed) // relaxed: point-in-time read; staleness is fine
 }
 
-fn bump(counter: &AtomicU64, by: u64) {
+/// Adds `by` to a monotone counter (the serve crate's one counter bump).
+pub(crate) fn bump(counter: &AtomicU64, by: u64) {
     counter.fetch_add(by, Ordering::Relaxed); // relaxed: monotone counter; no data published
 }
 

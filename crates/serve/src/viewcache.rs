@@ -545,9 +545,9 @@ impl ViewResultCache {
     /// is strictly cheaper than patching, so a commuting write never
     /// pays for localization.
     ///
-    /// `apply_delta` now reports what it replayed (the result-side
-    /// chains provenance repair needs); callers without provenance
-    /// return [`DeltaReplay::default`].
+    /// `apply_delta` replays the write on one retained entry's tree and
+    /// reports the result-side chains provenance repair needs; callers
+    /// without provenance return [`DeltaReplay::default`].
     #[allow(clippy::too_many_arguments)]
     pub fn maintain(
         &self,

@@ -24,14 +24,24 @@
 //!
 //! ## Durability level
 //!
-//! [`Wal::append`] flushes the userspace buffer to the OS per record
-//! (`BufWriter::flush`) but does not `fsync`: a crash of the *server
-//! process* loses nothing, a crash of the *machine* may lose the last
-//! few records. [`Wal::sync`] is available for callers that want the
-//! stronger guarantee at a checkpoint.
+//! [`Wal::append`] writes each frame straight to the file — one
+//! contiguous write per record, no userspace buffer — but does not
+//! `fsync`: a crash of the *server process* loses nothing, a crash of
+//! the *machine* may lose the last few records. [`Wal::sync`] is
+//! available for callers that want the stronger guarantee at a
+//! checkpoint.
+//!
+//! ## Failed appends
+//!
+//! An append that fails is rolled back: the file is truncated to its
+//! length before the append, so a torn frame never sits in front of
+//! later, acknowledged records, and the failed record — whose write the
+//! caller does not install — never reaches a replay. If the truncation
+//! fails too, the log is *poisoned*: every later append fails instead
+//! of acknowledging a record no replay could reach.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -201,9 +211,35 @@ impl WalRecord {
 /// function over a path and takes no locks at all.
 pub struct Wal {
     path: PathBuf,
-    // lock-order: Wal.file is the innermost lock in the serve crate; it
+    // lock-order: Wal.tail is the innermost lock in the serve crate; it
     // is taken under a DocStore shard write lock and never the reverse.
-    file: Mutex<BufWriter<File>>,
+    tail: Mutex<Tail>,
+}
+
+/// What the log needs of its backing file: appends, truncation back to
+/// an earlier length, and `fsync`. [`File`] is the implementation the
+/// server uses.
+trait LogFile: Write + Send {
+    fn truncate(&mut self, len: u64) -> io::Result<()>;
+    fn sync(&mut self) -> io::Result<()>;
+}
+
+impl LogFile for File {
+    fn truncate(&mut self, len: u64) -> io::Result<()> {
+        self.set_len(len)
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        self.sync_data()
+    }
+}
+
+/// The append end of the log, behind [`Wal`]'s mutex.
+struct Tail {
+    file: Box<dyn LogFile>,
+    /// Length of the intact frames — where the next frame starts — or
+    /// `None` once a failed append could not be rolled back (poisoned).
+    len: Option<u64>,
 }
 
 impl std::fmt::Debug for Wal {
@@ -217,9 +253,11 @@ impl Wal {
     pub fn open(path: impl AsRef<Path>) -> io::Result<Wal> {
         let path = path.as_ref().to_path_buf();
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let len = Some(file.metadata()?.len());
+        let file = Box::new(file);
         Ok(Wal {
             path,
-            file: Mutex::new(BufWriter::new(file)),
+            tail: Mutex::new(Tail { file, len }),
         })
     }
 
@@ -228,25 +266,33 @@ impl Wal {
         &self.path
     }
 
-    /// Appends one record and flushes it to the OS. On error the frame
-    /// may be torn; replay tolerates that (the torn tail is dropped) and
-    /// the caller must not install the write it was logging.
+    /// Appends one record, written to the OS as one frame. On error the
+    /// log is rolled back to its length before the append (see the
+    /// module docs), and the caller must not install the write it was
+    /// logging.
     pub fn append(&self, record: &WalRecord) -> io::Result<()> {
         let payload = record.encode();
         let mut frame = Vec::with_capacity(8 + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(&payload).to_le_bytes());
         frame.extend_from_slice(&payload);
-        let mut file = self.file.lock().expect("wal mutex poisoned");
-        file.write_all(&frame)?;
-        file.flush()
+        let mut tail = self.tail.lock().expect("wal mutex poisoned");
+        let Some(len) = tail.len else {
+            return Err(io::Error::other(
+                "wal poisoned: an earlier failed append could not be rolled back",
+            ));
+        };
+        let written = tail.file.write_all(&frame);
+        tail.len = match written {
+            Ok(()) => Some(len + frame.len() as u64),
+            Err(_) => tail.file.truncate(len).ok().map(|()| len),
+        };
+        written
     }
 
     /// Forces everything appended so far to stable storage (`fsync`).
     pub fn sync(&self) -> io::Result<()> {
-        let mut file = self.file.lock().expect("wal mutex poisoned");
-        file.flush()?;
-        file.get_ref().sync_data()
+        self.tail.lock().expect("wal mutex poisoned").file.sync()
     }
 
     /// Reads every intact record from the log at `path`, in append
@@ -268,34 +314,7 @@ impl Wal {
             }
             Err(e) => return Err(e),
         }
-        let mut records = Vec::new();
-        let mut at = 0usize;
-        let truncated = loop {
-            if at == bytes.len() {
-                break false;
-            }
-            let Some(header) = bytes.get(at..at + 8) else {
-                break true;
-            };
-            let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-            let Some(payload) = bytes.get(at + 8..at + 8 + len) else {
-                break true;
-            };
-            if crc32(payload) != crc {
-                break true;
-            }
-            let Some(record) = WalRecord::decode(payload) else {
-                break true;
-            };
-            records.push(record);
-            at += 8 + len;
-        };
-        Ok(WalReplay {
-            records,
-            truncated,
-            valid_len: at as u64,
-        })
+        Ok(parse(&bytes))
     }
 
     /// Drops a torn tail: truncates the file to `valid_len` bytes (the
@@ -306,6 +325,39 @@ impl Wal {
     pub fn truncate_to(path: impl AsRef<Path>, valid_len: u64) -> io::Result<()> {
         let file = OpenOptions::new().write(true).open(path)?;
         file.set_len(valid_len)
+    }
+}
+
+/// Reads every intact frame of a log's bytes, stopping at the first
+/// torn or corrupt one.
+fn parse(bytes: &[u8]) -> WalReplay {
+    let mut records = Vec::new();
+    let mut at = 0usize;
+    let truncated = loop {
+        if at == bytes.len() {
+            break false;
+        }
+        let Some(header) = bytes.get(at..at + 8) else {
+            break true;
+        };
+        let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
+        let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
+        let Some(payload) = bytes.get(at + 8..at + 8 + len) else {
+            break true;
+        };
+        if crc32(payload) != crc {
+            break true;
+        }
+        let Some(record) = WalRecord::decode(payload) else {
+            break true;
+        };
+        records.push(record);
+        at += 8 + len;
+    };
+    WalReplay {
+        records,
+        truncated,
+        valid_len: at as u64,
     }
 }
 
@@ -323,6 +375,8 @@ pub struct WalReplay {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
 
     fn temp_path(name: &str) -> PathBuf {
@@ -469,6 +523,100 @@ mod tests {
         assert!(replay.records.is_empty());
         assert!(!replay.truncated);
         assert_eq!(replay.valid_len, 0);
+    }
+
+    /// An in-memory log file whose `fail_on`-th write lands half its
+    /// bytes and then errors, and whose truncation fails when asked to.
+    struct Flaky {
+        bytes: Arc<Mutex<Vec<u8>>>,
+        writes: usize,
+        fail_on: usize,
+        truncate_fails: bool,
+    }
+
+    impl Write for Flaky {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            let mut bytes = self.bytes.lock().unwrap();
+            if self.writes == self.fail_on {
+                bytes.extend_from_slice(&buf[..buf.len() / 2]);
+                return Err(io::Error::other("disk full"));
+            }
+            bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl LogFile for Flaky {
+        fn truncate(&mut self, len: u64) -> io::Result<()> {
+            if self.truncate_fails {
+                return Err(io::Error::other("truncate failed"));
+            }
+            self.bytes.lock().unwrap().truncate(len as usize);
+            Ok(())
+        }
+
+        fn sync(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn flaky_wal(truncate_fails: bool) -> (Wal, Arc<Mutex<Vec<u8>>>) {
+        let bytes = Arc::new(Mutex::new(Vec::new()));
+        let file = Flaky {
+            bytes: Arc::clone(&bytes),
+            writes: 0,
+            fail_on: 2,
+            truncate_fails,
+        };
+        let tail = Tail {
+            file: Box::new(file),
+            len: Some(0),
+        };
+        let wal = Wal {
+            path: temp_path("flaky"),
+            tail: Mutex::new(tail),
+        };
+        (wal, bytes)
+    }
+
+    fn update(text: &str) -> WalRecord {
+        WalRecord::Update {
+            doc: "db".into(),
+            text: text.into(),
+        }
+    }
+
+    /// A failed append is rolled back: the record after it replays, and
+    /// the failed one — answered with an error, never installed — does
+    /// not.
+    #[test]
+    fn a_failed_append_is_rolled_back() {
+        let (wal, bytes) = flaky_wal(false);
+        wal.append(&update("AAAA")).unwrap();
+        assert!(wal.append(&update("BBBB")).is_err());
+        wal.append(&update("CCCC")).unwrap();
+        let replay = parse(&bytes.lock().unwrap());
+        assert!(!replay.truncated);
+        assert_eq!(replay.records, vec![update("AAAA"), update("CCCC")]);
+    }
+
+    /// When the rollback fails too, the log refuses every later append
+    /// rather than acknowledge a record stuck behind a torn frame.
+    #[test]
+    fn an_unrolled_failure_poisons_the_log() {
+        let (wal, bytes) = flaky_wal(true);
+        wal.append(&update("AAAA")).unwrap();
+        assert!(wal.append(&update("BBBB")).is_err());
+        let err = wal.append(&update("CCCC")).unwrap_err();
+        assert!(err.to_string().contains("poisoned"), "{err}");
+        let replay = parse(&bytes.lock().unwrap());
+        assert!(replay.truncated, "the torn frame is still there");
+        assert_eq!(replay.records, vec![update("AAAA")]);
     }
 
     #[test]

@@ -48,10 +48,34 @@ fn eval_from(doc: &Document, ctx: Ctx, path: &Path) -> Vec<NodeId> {
         }
     }
     let mut out: Vec<NodeId> = current.into_iter().flatten().collect();
-    // A child step applied to *nested* contexts (produced by `//`) emits
-    // anchor-major order; XQuery requires document order.
-    out.sort_by(|&a, &b| doc.doc_order_cmp(a, b));
+    // A step applied to *nested* contexts — any step after the first
+    // `//` — emits anchor-major order; XQuery requires document order.
+    // Each step keeps disjoint contexts in document order, so one result,
+    // or a path with no step after its first `//`, is already sorted.
+    let nested = path
+        .steps
+        .iter()
+        .position(|s| matches!(s.kind, StepKind::Descendant))
+        .is_some_and(|i| i + 1 < path.steps.len());
+    if nested && out.len() > 1 {
+        sort_doc_order(doc, ctx, &mut out);
+    }
     out
+}
+
+/// Sorts `nodes` — all inside the subtree at `ctx` — into document
+/// order by their preorder rank from one walk of that subtree: linear,
+/// where comparing root-to-node chains per pair
+/// ([`Document::doc_order_cmp`]) costs two chains per comparison.
+fn sort_doc_order(doc: &Document, ctx: Ctx, nodes: &mut [NodeId]) {
+    let Some(start) = ctx.or_else(|| doc.root()) else {
+        return;
+    };
+    let mut rank = vec![0u32; doc.arena_len()];
+    for (i, n) in doc.descendants_or_self(start).enumerate() {
+        rank[n.index()] = i as u32;
+    }
+    nodes.sort_unstable_by_key(|n| rank[n.index()]);
 }
 
 fn children_of(doc: &Document, ctx: Ctx) -> Vec<NodeId> {

@@ -157,7 +157,7 @@ proptest! {
             op: op_of(tag),
         };
         let expect = evaluate(&doc, &single, Method::CopyUpdate).unwrap();
-        let got = multi_top_down(&doc, &MultiTransformQuery::from_single(single));
+        let got = multi_top_down(&doc, &MultiTransformQuery::new("d", vec![(p, single.op)]));
         prop_assert!(
             docs_eq(&expect, &got),
             "singleton multi deviates on {tag} {path} over {}",

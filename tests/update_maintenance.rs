@@ -1278,3 +1278,108 @@ fn patching_survives_retained_renames() {
         );
     }
 }
+
+/// One cache fill serves every route: a GENTOP view's entry filled by a
+/// private `VIEW` miss, by a batched `VIEW` group, or by the write
+/// path's eager refill (forced with a write whose site is the root,
+/// `recompute: root`) is the same entry — the next localized write
+/// patches it, and it serves `two_pass` bytes. Every route counts each
+/// view it evaluates once under `methods`.
+#[test]
+fn every_fill_route_yields_an_entry_that_patches() {
+    const VIEWS: [(&str, &str); 2] = [
+        ("nocc", "delete $a/site/people/person/creditcard"),
+        ("nomail", "delete $a/site/regions//item/mailbox"),
+    ];
+    let text =
+        |body: &str| format!(r#"transform copy $a := doc("xmark") modify do {body} return $a"#);
+    let top_down = |server: &Server| {
+        let snap = server.stats();
+        snap.per_method
+            .iter()
+            .find(|&&(m, _)| m == Method::TopDown)
+            .map_or(0, |&(_, n)| n)
+    };
+    let base = Document::parse(&generate_string(XmarkConfig::new(0.005).with_seed(3))).unwrap();
+    let root_write = text("insert <xust-root/> into $a/site");
+    let local_write = text(
+        r#"insert <xust-mark><t>w</t></xust-mark> into $a/site/people/person[@id = "person3"]"#,
+    );
+    let view = |name: &str| Request::View {
+        view: name.into(),
+        doc: "xmark".into(),
+    };
+    for route in ["private", "batch", "write"] {
+        let server = Server::builder().threads(2).shards(1).build();
+        server.load_doc("xmark", base.clone());
+        for (name, body) in VIEWS {
+            server.register_view(name, &text(body)).unwrap();
+        }
+        let mut reference = base.clone();
+        let filled = match route {
+            "private" => {
+                let before = top_down(&server);
+                server.handle(&view("nocc")).unwrap();
+                assert_eq!(top_down(&server), before + 1, "{route}");
+                1
+            }
+            "batch" => {
+                let before = top_down(&server);
+                for r in server.execute_batch(vec![view("nocc"), view("nomail")]) {
+                    assert_eq!(r.unwrap().method, Some(Method::TopDown), "{route}");
+                }
+                assert_eq!(top_down(&server), before + 2, "{route}");
+                assert_eq!(server.stats().shared_passes, 1, "{route}");
+                2
+            }
+            _ => {
+                server.handle(&view("nocc")).unwrap();
+                let before = (top_down(&server), server.stats());
+                server.update_doc("xmark", &root_write).unwrap();
+                apply_to_reference(&mut reference, &root_write);
+                let after = server.stats();
+                assert!(
+                    after.to_string().contains("recompute: threshold=0 root=1"),
+                    "{after}"
+                );
+                assert_eq!(
+                    top_down(&server),
+                    before.0 + 1,
+                    "{route}: the refill counts"
+                );
+                assert_eq!(
+                    after.shared_passes, 0,
+                    "{route}: a one-view sweep shares nothing"
+                );
+                assert_eq!(
+                    server.view_results().len(),
+                    1,
+                    "{route}: the refill cached it"
+                );
+                1
+            }
+        };
+        let before = server.stats();
+        server.update_doc("xmark", &local_write).unwrap();
+        apply_to_reference(&mut reference, &local_write);
+        let after = server.stats();
+        assert_eq!(
+            after.delta_patched,
+            before.delta_patched + filled,
+            "{route}: {after}"
+        );
+        assert_eq!(after.delta_recomputed, before.delta_recomputed, "{route}");
+        for (name, body) in &VIEWS[..filled as usize] {
+            let served = server.handle(&view(name)).unwrap();
+            assert_eq!(
+                served.method, None,
+                "{route}: {name} is served from the cache"
+            );
+            assert_eq!(
+                served.body,
+                recompute_view(&reference, &[text(body).as_str()]),
+                "{route}: {name}"
+            );
+        }
+    }
+}

@@ -238,3 +238,39 @@ fn multi_update_workload_dom_and_stream_agree() {
     assert!(!streamed.contains("creditcard"));
     assert!(streamed.contains("<archive>"));
 }
+
+/// Selections come back in document order: on an XMark document, each
+/// path's `r[[p]]` equals the preorder walk filtered to the nodes it
+/// selects — including `//` paths whose later steps see nested contexts
+/// (anchor-major before sorting, with the same node reached from
+/// several anchors).
+#[test]
+fn descendant_selections_come_back_in_document_order() {
+    use xust::xpath::eval_path_root;
+    let doc = small_doc();
+    let root = doc.root().unwrap();
+    let named = |n, label: &str| doc.name(n) == Some(label);
+    let under = |n, label: &str| doc.ancestors(n).any(|a| named(a, label));
+    let cases: [(&str, &dyn Fn(_) -> bool); 3] = [
+        ("//keyword", &|n| named(n, "keyword")),
+        ("//listitem//keyword", &|n| {
+            named(n, "keyword") && under(n, "listitem")
+        }),
+        ("/site//description", &|n| named(n, "description")),
+    ];
+    for (path, selects) in cases {
+        let expected: Vec<_> = doc
+            .descendants_or_self(root)
+            .filter(|&n| selects(n))
+            .collect();
+        assert!(
+            expected.len() > 1,
+            "{path}: the document must exercise the sort"
+        );
+        assert_eq!(
+            eval_path_root(&doc, &parse_path(path).unwrap()),
+            expected,
+            "{path}"
+        );
+    }
+}
