@@ -26,7 +26,7 @@ use xust_bench::{
 };
 use xust_core::{multi_view_with_stats, two_pass, CompiledTransform, TransformQuery};
 use xust_serve::{serve_pipelined, PipelineOptions, Request, Server};
-use xust_tree::Document;
+use xust_tree::{Document, Serialized};
 
 struct ServeRow {
     name: String,
@@ -84,7 +84,9 @@ struct IvmPatchRow {
 struct TransformReplyRow {
     /// Elements in the transformed document.
     elements: usize,
-    /// U1–U10 mean of one streamed reply (`evaluate_into`).
+    /// U1–U10 mean of one streamed reply (`evaluate_into` over the
+    /// document's serialized index, built once outside the timed loop,
+    /// as the server builds one per document version).
     streamed_ms: f64,
     /// U1–U10 mean of the tree path it replaced (`evaluate` + `serialize`).
     tree_ms: f64,
@@ -109,6 +111,11 @@ struct SerializeRow {
     bytes: usize,
     /// Serialized bytes per second of the fastest pass, in MB/s.
     mb_s: f64,
+    /// Arena slots the serialized index records a start for.
+    index_slots: usize,
+    /// Fastest build of the document's serialized index, in ms: what
+    /// the second TRANSFORM of each document version pays.
+    index_ms: f64,
 }
 
 /// Minimum neighbour result-cache hit rate `--check` accepts for the
@@ -234,6 +241,11 @@ fn main() {
     let ser_row = run_serialize(&reply_doc, if quick { 5 } else { 20 });
     println!("\n## serialize_mb_s (whole-document serialization, fastest pass)");
     println!("{:>10.1} MB/s  ({} bytes)", ser_row.mb_s, ser_row.bytes);
+    println!("\n## serialized_index_ms (serialized index build, fastest pass)");
+    println!(
+        "{:>10.3} ms  ({} slots)",
+        ser_row.index_ms, ser_row.index_slots
+    );
 
     // ---- the write floor (absolute): document copy, drop, bare UPDATE ----
     let floor_row = run_write_floor(&reply_doc, if quick { 5 } else { 20 });
@@ -926,6 +938,7 @@ fn run_obs_overhead(factor: f64, rounds: usize) -> ObsRow {
 /// identical first. Per query, the fastest of `reps` order-alternated
 /// pass pairs counts; the row reports the means over the ten queries.
 fn run_transform_reply(doc: &Document, reps: usize) -> TransformReplyRow {
+    let index = Serialized::build(doc).expect("fits 32-bit offsets");
     let (mut streamed, mut tree) = (0.0, 0.0);
     for i in 0..WORKLOAD.len() {
         let ct = CompiledTransform::compile(insert_query(i));
@@ -933,7 +946,8 @@ fn run_transform_reply(doc: &Document, reps: usize) -> TransformReplyRow {
         let via_tree = || ct.evaluate(doc, method).expect("evaluates").serialize();
         let via_stream = || {
             let mut out = String::new();
-            ct.evaluate_into(doc, method, &mut out).expect("evaluates");
+            ct.evaluate_into(doc, Some(&index), method, &mut out)
+                .expect("evaluates");
             out
         };
         assert_eq!(
@@ -971,19 +985,25 @@ fn run_transform_reply(doc: &Document, reps: usize) -> TransformReplyRow {
     }
 }
 
-/// Absolute serializer throughput: the fastest of `reps` whole-document
-/// `serialize` passes.
+/// Absolute serializer throughput and serialized-index build time: the
+/// fastest of `reps` whole-document `serialize` passes and of `reps`
+/// [`Serialized::build`]s.
 fn run_serialize(doc: &Document, reps: usize) -> SerializeRow {
     let bytes = doc.serialize().len();
-    let mut best = f64::INFINITY;
+    let (mut best, mut best_index) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..reps {
         let t = Instant::now();
         std::hint::black_box(doc.serialize().len());
         best = best.min(t.elapsed().as_secs_f64());
+        let t = Instant::now();
+        std::hint::black_box(Serialized::build(doc).map(|ix| ix.len()));
+        best_index = best_index.min(t.elapsed().as_secs_f64());
     }
     SerializeRow {
         bytes,
         mb_s: bytes as f64 / best / 1e6,
+        index_slots: doc.arena_len(),
+        index_ms: best_index * 1e3,
     }
 }
 
@@ -1110,6 +1130,10 @@ fn render_json(
     s.push_str(&format!(
         "  \"serialize_mb_s\": {{\"bytes\": {}, \"mb_s\": {:.1}}},\n",
         ser.bytes, ser.mb_s
+    ));
+    s.push_str(&format!(
+        "  \"serialized_index_ms\": {{\"bytes\": {}, \"slots\": {}, \"ms\": {:.3}}},\n",
+        ser.bytes, ser.index_slots, ser.index_ms
     ));
     s.push_str(&format!(
         "  \"write_floor\": {{\"elements\": {}, \"tree_clone_us\": {:.1}, \"tree_drop_us\": {:.1}, \"update_no_views_us\": {:.1}}}\n",

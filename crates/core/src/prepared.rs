@@ -12,7 +12,7 @@
 //! method never depends on the document or on observed latency.
 
 use xust_automata::{FilteringNfa, LabelSet, SelectingNfa};
-use xust_tree::Document;
+use xust_tree::{Document, Serialized};
 use xust_xpath::{Path, QualTable, Qualifier};
 
 use crate::bottomup::{bottom_up_prebuilt, Annotations};
@@ -156,25 +156,35 @@ impl CompiledTransform {
     /// stream their output straight onto `out` in one pass, with no
     /// result tree; the other methods evaluate and then serialize.
     ///
-    /// `out` first reserves about the document's size (its buffers'
-    /// footprint tracks the serialized length): growing a
-    /// multi-megabyte reply by doubling costs a copy per step and leaves
-    /// the freed steps fragmenting the allocator's arenas.
+    /// `index` is `doc`'s [`Serialized`] index (built from this very
+    /// content), if the caller keeps one: the streaming methods then
+    /// copy every unaffected subtree as one slice of it instead of
+    /// re-serializing it node by node. Without it they walk.
+    ///
+    /// `out` first reserves about the document's serialized size:
+    /// growing a multi-megabyte reply by doubling costs a copy per step
+    /// and leaves the freed steps fragmenting the allocator's arenas.
     pub fn evaluate_into(
         &self,
         doc: &Document,
+        index: Option<&Serialized>,
         method: Method,
         out: &mut String,
     ) -> Result<(), TransformError> {
-        out.reserve(doc.heap_bytes());
+        out.reserve(index.map_or_else(|| doc.heap_bytes(), Serialized::len));
         match method {
-            Method::TopDown => {
-                top_down_into(doc, &self.query, &self.selecting, &mut native_check, out)
-            }
+            Method::TopDown => top_down_into(
+                doc,
+                index,
+                &self.query,
+                &self.selecting,
+                &mut native_check,
+                out,
+            ),
             Method::TwoPass => {
                 let ann = self.bottom_up(doc);
                 let mut check = |_: &Document, n, step, _: &Qualifier| ann.check(n, step);
-                top_down_into(doc, &self.query, &self.selecting, &mut check, out);
+                top_down_into(doc, index, &self.query, &self.selecting, &mut check, out);
             }
             _ => {
                 let result = self.evaluate(doc, method)?;

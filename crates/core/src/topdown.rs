@@ -15,7 +15,9 @@
 //! composition need the tree), while the string sink behind
 //! `top_down_into` appends the serialized bytes directly, so a
 //! transform that is only sent somewhere never materializes a result
-//! tree at all.
+//! tree at all. Given the base document's [`Serialized`] index, the
+//! string sink copies every pruned subtree and base text node as one
+//! slice of it.
 //!
 //! The qualifier oracle `checkp` is a parameter: the **GENTOP** variant
 //! passes native XPath evaluation (`xust_xpath::eval_qualifier`), the
@@ -24,7 +26,7 @@
 
 use xust_automata::{SelectingNfa, StateSet};
 use xust_intern::Sym;
-use xust_tree::{write_start_tag, Document, NodeId, NodeKind};
+use xust_tree::{write_start_tag, Document, NodeId, NodeKind, Serialized};
 use xust_xpath::{eval_qualifier, Qualifier};
 
 use crate::query::{InsertPos, TransformQuery, UpdateOp};
@@ -45,8 +47,12 @@ trait Sink {
     fn open(&mut self, name: Sym, src: &Document, n: NodeId);
     /// Closes the most recently opened element.
     fn close(&mut self);
-    /// Emits the whole subtree rooted at `n` of `src` unchanged.
+    /// Emits the whole subtree rooted at the base document's node `n`
+    /// unchanged.
     fn copy(&mut self, src: &Document, n: NodeId);
+    /// Emits the query's inserted or replacing element rooted at `r` of
+    /// `elem`.
+    fn insert(&mut self, elem: &Document, r: NodeId);
 }
 
 /// Builds result nodes in a [`Document`] from the emitted output, with a
@@ -96,6 +102,10 @@ impl Sink for TreeSink<'_> {
         let node = self.out.deep_copy_from(src, n);
         self.attach(node);
     }
+
+    fn insert(&mut self, elem: &Document, r: NodeId) {
+        self.copy(elem, r);
+    }
 }
 
 /// Appends the serialized output to a string, byte-identical to
@@ -104,6 +114,8 @@ impl Sink for TreeSink<'_> {
 /// children still collapses to `/>`.
 struct StrSink<'s> {
     out: &'s mut String,
+    /// The base document's index, when the caller has one.
+    index: Option<&'s Serialized>,
     /// Names of the open elements, resolved once at open.
     open: Vec<&'static str>,
     /// True while the last start tag still lacks its `>`.
@@ -142,7 +154,15 @@ impl Sink for StrSink<'_> {
 
     fn copy(&mut self, src: &Document, n: NodeId) {
         self.close_pending();
-        src.serialize_into(n, self.out);
+        match self.index {
+            Some(index) => self.out.push_str(index.subtree(src, n)),
+            None => src.serialize_into(n, self.out),
+        }
+    }
+
+    fn insert(&mut self, elem: &Document, r: NodeId) {
+        self.close_pending();
+        elem.serialize_into(r, self.out);
     }
 }
 
@@ -186,8 +206,10 @@ pub fn top_down_prebuilt(
 
 /// [`top_down_prebuilt`] writing the serialized result straight onto
 /// `out` (nothing for an empty result), with no result tree in between.
+/// `index`, when given, must be `doc`'s.
 pub(crate) fn top_down_into(
     doc: &Document,
+    index: Option<&Serialized>,
     q: &TransformQuery,
     nfa: &SelectingNfa,
     check: &mut CheckP<'_>,
@@ -195,6 +217,7 @@ pub(crate) fn top_down_into(
 ) {
     let mut sink = StrSink {
         out,
+        index,
         open: Vec::new(),
         pending: false,
     };
@@ -298,11 +321,11 @@ impl<S: Sink> Cx<'_, '_, S> {
             _ => None,
         };
         if let Some((elem, r, InsertPos::Before)) = sibling {
-            self.sink.copy(elem, r);
+            self.sink.insert(elem, r);
         }
         self.process(n, &s_next);
         if let Some((elem, r, InsertPos::After)) = sibling {
-            self.sink.copy(elem, r);
+            self.sink.insert(elem, r);
         }
     }
 
@@ -320,7 +343,7 @@ impl<S: Sink> Cx<'_, '_, S> {
                 UpdateOp::Delete => return,
                 UpdateOp::Replace { elem } => {
                     if let Some(e_root) = elem.root() {
-                        self.sink.copy(elem, e_root);
+                        self.sink.insert(elem, e_root);
                     }
                     return;
                 }
@@ -344,7 +367,7 @@ impl<S: Sink> Cx<'_, '_, S> {
             _ => None,
         };
         if let Some((elem, r, InsertPos::FirstInto)) = into {
-            self.sink.copy(elem, r);
+            self.sink.insert(elem, r);
         }
         let mut child = self.src.first_child(n);
         while let Some(c) = child {
@@ -353,7 +376,7 @@ impl<S: Sink> Cx<'_, '_, S> {
         }
         if let Some((elem, r, InsertPos::LastInto)) = into {
             // Fig. 3 lines 7–8: add e as the last child.
-            self.sink.copy(elem, r);
+            self.sink.insert(elem, r);
         }
         self.sink.close();
     }
@@ -441,17 +464,22 @@ mod tests {
         );
     }
 
-    /// Streams `q` over `xml` into a string and checks the bytes against
-    /// the serialized tree result and the copy-update baseline.
+    /// Streams `q` over `xml` into a string, with and without the
+    /// document's index, and checks the bytes against the serialized
+    /// tree result and the copy-update baseline.
     fn streamed(xml: &str, q: &TransformQuery) -> String {
         let d = Document::parse(xml).unwrap();
         let nfa = SelectingNfa::new(&q.path);
+        let index = Serialized::build(&d).unwrap();
         let mut got = String::from("kept:");
-        top_down_into(&d, q, &nfa, &mut native_check, &mut got);
+        top_down_into(&d, None, q, &nfa, &mut native_check, &mut got);
         let got = got
             .strip_prefix("kept:")
             .expect("appends to out")
             .to_string();
+        let mut indexed = String::new();
+        top_down_into(&d, Some(&index), q, &nfa, &mut native_check, &mut indexed);
+        assert_eq!(indexed, got, "indexed vs walked copies");
         assert_eq!(got, top_down(&d, q).serialize(), "stream vs tree");
         assert_eq!(got, copy_update(&d, q).serialize(), "stream vs baseline");
         got
@@ -513,7 +541,9 @@ mod tests {
         assert_eq!(streamed("<db><x/></db>", &q), "");
         let mut out = String::new();
         let nfa = SelectingNfa::new(&q.path);
-        top_down_into(&Document::new(), &q, &nfa, &mut native_check, &mut out);
+        let empty = Document::new();
+        let index = Serialized::build(&empty).unwrap();
+        top_down_into(&empty, Some(&index), &q, &nfa, &mut native_check, &mut out);
         assert_eq!(out, "");
     }
 

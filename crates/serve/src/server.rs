@@ -40,7 +40,7 @@ use xust_core::{
 };
 use xust_sax::SaxParser;
 use xust_secview::Policy;
-use xust_tree::Document;
+use xust_tree::{Document, Serialized};
 use xust_xpath::eval_path_root;
 
 use crate::cache::PreparedCache;
@@ -49,7 +49,7 @@ use crate::executor::ThreadPool;
 use crate::obs::{Obs, Phase, Trace};
 use crate::registry::{ViewBody, ViewDef, ViewRegistry};
 use crate::stats::{bump, ServeStats, StatsSnapshot, Verb};
-use crate::store::{DocStore, StoreSnapshot, WriteStamp};
+use crate::store::{DocStore, IndexCell, StoreSnapshot, VersionedDoc, WriteStamp};
 use crate::viewcache::ViewResultCache;
 use crate::wal::{Wal, WalRecord};
 use crate::write::{frag_leaf_limit, handle_update};
@@ -83,11 +83,15 @@ impl DocView<'_> {
     /// version. Pair with [`DocView::still_at`] before caching a result
     /// computed from the source.
     pub(crate) fn get_versioned(&self, name: &str) -> Result<(DocSource, u64), ServeError> {
+        self.get_doc(name).map(|d| (d.source, d.version))
+    }
+
+    /// [`DocView::get_versioned`] with the version's serialized-index
+    /// cell.
+    fn get_doc(&self, name: &str) -> Result<VersionedDoc, ServeError> {
         match self {
-            DocView::Live(store) => store.get_versioned(name).map(|d| (d.source, d.version)),
-            DocView::Pinned(snap) => snap
-                .get_versioned(name)
-                .map(|d| (d.source.clone(), d.version)),
+            DocView::Live(store) => store.get_versioned(name),
+            DocView::Pinned(snap) => snap.get_versioned(name).cloned(),
         }
         .ok_or_else(|| ServeError::UnknownDoc(name.to_string()))
     }
@@ -976,7 +980,7 @@ impl Server {
         let stats = &self.inner.stats;
         bump(&stats.transform_requests, 1);
         let t = rt.start();
-        let (source, _) = docs.get_versioned(doc)?;
+        let stored = docs.get_doc(doc)?;
         rt.phase(Phase::Snapshot, t);
         let t = rt.start();
         let (ct, hit) = self.inner.transforms.get_or_try_insert(query, || {
@@ -986,15 +990,16 @@ impl Server {
         rt.phase(Phase::Cache, t);
         self.note_cache(hit);
         rt.note_prepared(hit);
-        match source {
+        match stored.source {
             DocSource::Memory(d) => {
                 let method = ct.method();
                 rt.note_plan(|| format!("transform: nodes={} method={method}", d.arena_len()));
+                let index = self.serialized(&d, &stored.serialized, rt);
                 let t = Instant::now();
                 // One pass writes the reply bytes: no result tree is
                 // built, so the eval phase covers serialization too.
                 let mut body = String::new();
-                ct.evaluate_into(&d, method, &mut body)
+                ct.evaluate_into(&d, index, method, &mut body)
                     .map_err(|e| ServeError::Eval(e.to_string()))?;
                 self.evaluated(method, t, rt);
                 Ok(Response {
@@ -1187,7 +1192,7 @@ impl Server {
                         version,
                         def.cache_generation,
                         out,
-                        body.clone(),
+                        Arc::from(body.as_str()),
                         def.alphabet.clone(),
                         touched,
                         frags,
@@ -1302,6 +1307,34 @@ impl Server {
             },
             1,
         );
+    }
+
+    /// The serialized index in `cell` of the in-memory version `d`, for
+    /// one `TRANSFORM` of it: `None` for the version's first (which
+    /// walks, as a version written right after it would gain nothing
+    /// from an index), else built on first use — once, however many
+    /// requests race for it — with the build counted in
+    /// `serialized_builds` and charged to the builder's (and any
+    /// waiter's) serialize phase.
+    fn serialized<'c>(
+        &self,
+        d: &Document,
+        cell: &'c IndexCell,
+        rt: &mut Trace,
+    ) -> Option<&'c Serialized> {
+        if let Some(index) = cell.index.get() {
+            return index.as_ref();
+        }
+        if cell.transformed.set(()).is_ok() {
+            return None;
+        }
+        let t = rt.start();
+        let index = cell.index.get_or_init(|| {
+            bump(&self.inner.stats.serialized_builds, 1);
+            Serialized::build(d)
+        });
+        rt.phase(Phase::Serialize, t);
+        index.as_ref()
     }
 
     /// Charges one evaluation by `method`, started at `t`, to the method

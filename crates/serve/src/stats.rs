@@ -422,6 +422,7 @@ counter_table! {
         cache_misses: Counter "cache.misses", "cache_misses", "prepared_cache_misses_total", "Prepared-cache misses (entry had to be built).";
         compiles: Counter "cache.compiles", "compiles", "compiles_total", "Transform parse + NFA compilations performed.";
         compositions: Counter "cache.compositions", "compositions", "compositions_total", "User-query compositions performed.";
+        serialized_builds: Counter "cache.serialized_builds", "serialized_builds", "serialized_builds_total", "Serialized indexes built (at most one per in-memory document version, by its second TRANSFORM).";
         batches: Counter "batches.runs", "batches", "batches_total", "Batched entry-point invocations.";
         batch_items: Counter "batches.items", "batch_items", "batch_items_total", "Items executed through batched entry points.";
         batch_steals: Counter "batches.steals", "batch_steals", "batch_steals_total", "Work-stealing events across batch executions.";

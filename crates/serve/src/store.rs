@@ -48,9 +48,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering}; // lint: atomic-ok (snapshot counter only)
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 use xust_intern::Interner;
+use xust_tree::Serialized;
 
 use crate::server::DocSource;
 
@@ -62,6 +63,34 @@ pub struct VersionedDoc {
     pub source: DocSource,
     /// Content version — bumped only by writes to *this* document.
     pub version: u64,
+    /// This version's [`Serialized`] index cell: created empty when the
+    /// version is installed and dropped with the version. Epochs that
+    /// keep the version share the cell.
+    pub(crate) serialized: Arc<IndexCell>,
+}
+
+/// A version's [`Serialized`] index, built on demand: the version's
+/// first in-memory `TRANSFORM` only marks the cell and walks the tree,
+/// its second builds the index (once, however many requests race for
+/// it), and every later one copies slices of it. A version that is
+/// written after at most one `TRANSFORM` never pays a build.
+#[derive(Debug, Default)]
+pub(crate) struct IndexCell {
+    /// Set by the version's first in-memory `TRANSFORM`.
+    pub(crate) transformed: OnceLock<()>,
+    /// The index; `None` inside when the document does not fit 32-bit
+    /// offsets.
+    pub(crate) index: OnceLock<Option<Serialized>>,
+}
+
+impl VersionedDoc {
+    fn new(source: DocSource, version: u64) -> VersionedDoc {
+        VersionedDoc {
+            source,
+            version,
+            serialized: Arc::default(),
+        }
+    }
 }
 
 /// One shard's immutable epoch: a version counter plus the name →
@@ -170,13 +199,7 @@ impl DocStore {
         };
         before_install(stamp)?;
         let mut docs = current.docs.clone();
-        docs.insert(
-            name,
-            VersionedDoc {
-                source,
-                version: epoch,
-            },
-        );
+        docs.insert(name, VersionedDoc::new(source, epoch));
         *current = Arc::new(ShardEpoch { epoch, docs });
         Ok(stamp)
     }
@@ -216,13 +239,7 @@ impl DocStore {
         let (replacement, payload) =
             apply(stamp, &existing.source).map_err(StoreUpdateError::Apply)?;
         let mut docs = current.docs.clone();
-        docs.insert(
-            name.to_string(),
-            VersionedDoc {
-                source: replacement,
-                version: epoch,
-            },
-        );
+        docs.insert(name.to_string(), VersionedDoc::new(replacement, epoch));
         *current = Arc::new(ShardEpoch { epoch, docs });
         Ok((stamp, payload))
     }

@@ -402,7 +402,7 @@ impl ViewResultCache {
     /// clobber a maintained, up-to-date result with its older one.
     /// `frags`, when present, is the provenance map recorded over
     /// `result` at materialization time — it enables the patch fate for
-    /// this entry.
+    /// this entry. `body` is `result` serialized, shared as is.
     #[allow(clippy::too_many_arguments)]
     pub fn insert(
         &self,
@@ -411,7 +411,7 @@ impl ViewResultCache {
         version: u64,
         generation: u64,
         result: Document,
-        body: String,
+        body: Arc<str>,
         view_alphabet: LabelSet,
         view_touched: TouchedLabels,
         frags: Option<FragmentTree>,
@@ -421,7 +421,7 @@ impl ViewResultCache {
         }
         let entry = Entry {
             doc: result,
-            body: Some(body.into()),
+            body: Some(body),
             generation,
             view_alphabet,
             view_touched,
@@ -1114,7 +1114,7 @@ mod tests {
             1,
             1,
             result,
-            body,
+            body.into(),
             ct.alphabet().clone(),
             vt,
             frags,
@@ -1202,7 +1202,7 @@ mod tests {
             version,
             1,
             result,
-            body,
+            body.into(),
             alphabet.clone(),
             TouchedLabels::new(),
             frags,

@@ -37,4 +37,4 @@ pub use eq::{deep_eq, docs_eq};
 pub use iter::{Ancestors, Children, Descendants};
 pub use node::{Attrs, NodeId, NodeKind};
 pub use parse::TreeParseError;
-pub use serialize::write_start_tag;
+pub use serialize::{write_start_tag, Serialized};

@@ -1,3 +1,5 @@
+use std::fmt;
+
 use xust_sax::{escape_attr_into, escape_text_into};
 
 use crate::document::Document;
@@ -26,8 +28,17 @@ impl Document {
     /// walk over the `first_child`/`next_sibling`/`parent` links: no
     /// recursion, no scratch allocation, no re-validation of the bytes.
     pub fn serialize_into(&self, node: NodeId, out: &mut String) {
+        self.serialize_walk(node, out, |_, _| {});
+    }
+
+    /// The walk behind [`Document::serialize_into`] and
+    /// [`Serialized::build`]: `at(n, offset)` runs just before node
+    /// `n`'s bytes are appended at `offset` of `out`.
+    #[inline(always)]
+    fn serialize_walk(&self, node: NodeId, out: &mut String, mut at: impl FnMut(NodeId, usize)) {
         let mut n = node;
         'walk: loop {
+            at(n, out.len());
             match self.kind(n) {
                 NodeKind::Text(t) => escape_text_into(t, out),
                 NodeKind::Element { name, attrs } => {
@@ -76,6 +87,96 @@ impl Document {
     }
 }
 
+/// A document serialized once, with the byte offset at which every
+/// reachable node's serialization starts: any subtree's bytes are then
+/// one slice of the text, copied with one `push_str` instead of a walk
+/// that re-escapes every value.
+///
+/// The index belongs to the exact document content it was built from;
+/// any edit to that document makes it stale. It costs the serialized
+/// length plus 4 bytes per arena slot. A node's end offset is not
+/// stored: it is its next sibling's start, or else its parent's end
+/// minus the parent's end tag, found by climbing at most the node's
+/// depth.
+pub struct Serialized {
+    text: String,
+    /// Per arena slot, the offset of the node's first byte in `text`
+    /// (`u32::MAX` for slots the walk from the root never reached).
+    starts: Vec<u32>,
+}
+
+impl Serialized {
+    /// Serializes `doc` from its root, recording every node's start —
+    /// the same walk as [`Document::serialize_into`]. `None` when the
+    /// serialization does not fit 32-bit offsets (4 GiB or more).
+    pub fn build(doc: &Document) -> Option<Serialized> {
+        let mut text = String::new();
+        let mut starts = vec![u32::MAX; doc.arena_len()];
+        if let Some(root) = doc.root() {
+            text.reserve(doc.heap_bytes());
+            // An offset past `u32::MAX` truncates here, but then the
+            // whole text does not fit either and the index is dropped.
+            doc.serialize_walk(root, &mut text, |n, at| starts[n.index()] = at as u32);
+            text.shrink_to_fit();
+        }
+        u32::try_from(text.len())
+            .is_ok()
+            .then_some(Serialized { text, starts })
+    }
+
+    /// Length of the whole serialization in bytes.
+    pub fn len(&self) -> usize {
+        self.text.len()
+    }
+
+    /// True for an empty (rootless) document.
+    pub fn is_empty(&self) -> bool {
+        self.text.is_empty()
+    }
+
+    /// The serialization of the subtree rooted at `n`, equal to
+    /// [`Document::serialize_subtree`]. `doc` must be the document the
+    /// index was built from, unchanged, and `n` reachable from its root.
+    pub fn subtree(&self, doc: &Document, n: NodeId) -> &str {
+        debug_assert_eq!(
+            self.starts.len(),
+            doc.arena_len(),
+            "index of another document"
+        );
+        let start = self.starts[n.index()];
+        debug_assert_ne!(start, u32::MAX, "node not reachable from the root");
+        &self.text[start as usize..self.end(doc, n)]
+    }
+
+    /// Where `n`'s serialization ends: the start of the first following
+    /// sibling of `n` or of an ancestor, less the end tags of the
+    /// ancestors climbed to reach it.
+    fn end(&self, doc: &Document, mut n: NodeId) -> usize {
+        let mut owed = 0;
+        loop {
+            if let Some(s) = doc.next_sibling(n) {
+                return self.starts[s.index()] as usize - owed;
+            }
+            match doc.parent(n) {
+                Some(p) => {
+                    owed += doc.name(p).map_or(0, |name| name.len() + 3);
+                    n = p;
+                }
+                None => return self.text.len() - owed,
+            }
+        }
+    }
+}
+
+impl fmt::Debug for Serialized {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Serialized")
+            .field("bytes", &self.text.len())
+            .field("slots", &self.starts.len())
+            .finish()
+    }
+}
+
 /// Appends the open start tag `<name` plus escaped attributes, **no
 /// closing `>`**, to `out` — the bytes [`Document::write_start_tag_into`]
 /// writes, for an element that exists only as a name and attributes
@@ -95,7 +196,21 @@ pub fn write_start_tag(name: &str, attrs: Attrs<'_>, out: &mut String) {
 
 #[cfg(test)]
 mod tests {
-    use crate::Document;
+    use crate::{Document, Serialized};
+
+    #[test]
+    fn index_slices_every_subtree() {
+        let xml = "<a x=\"1 &lt; 2\"><b><c/>x &amp; y</b><d>y</d>z<e><f k=\"&quot;\"/></e></a>";
+        let d = Document::parse(xml).unwrap();
+        let ix = Serialized::build(&d).unwrap();
+        let root = d.root().unwrap();
+        assert_eq!(ix.subtree(&d, root), xml);
+        assert_eq!(ix.len(), xml.len());
+        for n in d.descendants_or_self(root) {
+            assert_eq!(ix.subtree(&d, n), d.serialize_subtree(n));
+        }
+        assert!(Serialized::build(&Document::new()).unwrap().is_empty());
+    }
 
     #[test]
     fn roundtrip_simple() {

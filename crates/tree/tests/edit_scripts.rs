@@ -1,12 +1,13 @@
 //! Random edit scripts over the flat document layout: every primitive
 //! edit, with heap compaction forced between steps, must leave the
 //! serialization unchanged by `clone()` and by compaction, keep every
-//! live node's name, text and attributes under its `NodeId`, and
-//! round-trip through parse∘serialize.
+//! live node's name, text and attributes under its `NodeId`, slice
+//! every live subtree out of a fresh [`Serialized`] index byte for
+//! byte, and round-trip through parse∘serialize.
 
 use proptest::prelude::*;
 use xust_intern::Sym;
-use xust_tree::{Document, NodeId};
+use xust_tree::{Document, NodeId, Serialized};
 
 /// Non-empty, non-whitespace text (the parser drops whitespace-only and
 /// empty runs, so those could not round-trip), with markup and
@@ -90,6 +91,21 @@ fn payloads(d: &Document) -> Vec<Payload> {
         .collect()
 }
 
+/// Checks a fresh index of `d` against `serialize_subtree` at every
+/// live node.
+fn index_agrees(d: &Document) -> Result<(), TestCaseError> {
+    let ix = Serialized::build(d).expect("small documents fit 32-bit offsets");
+    for n in live(d) {
+        prop_assert_eq!(
+            ix.subtree(d, n),
+            d.serialize_subtree(n),
+            "subtree at {:?}",
+            n
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn edits_survive_clone_compaction_and_reparse(
@@ -99,12 +115,14 @@ proptest! {
         let mut d = Document::parse("<r a=\"1\"><x>t</x><y k=\"v\"/>u</r>").unwrap();
         for step in script {
             apply(&mut d, &src, step);
+            index_agrees(&d)?;
             let xml = d.serialize();
             prop_assert_eq!(d.clone().serialize(), xml.clone(), "clone changed the bytes");
             let before = payloads(&d);
             d.compact();
             prop_assert_eq!(d.serialize(), xml.clone(), "compaction changed the bytes");
             prop_assert_eq!(payloads(&d), before, "compaction moved a payload");
+            index_agrees(&d)?;
             let back = Document::parse(&xml).expect("serialized output parses");
             prop_assert_eq!(back.serialize(), xml, "parse∘serialize is not the identity");
         }

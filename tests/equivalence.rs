@@ -10,7 +10,7 @@ use common::{arb_doc, arb_op, arb_path, build_query, build_query_text};
 use proptest::prelude::*;
 
 use xust::core::{evaluate, parse_transform, CompiledTransform, Method};
-use xust::tree::{docs_eq, Document};
+use xust::tree::{docs_eq, Document, Serialized};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -38,12 +38,17 @@ proptest! {
             );
         }
         // The streamed reply path writes the same bytes, with no result
-        // tree in between.
+        // tree in between, whether it walks unaffected subtrees or
+        // copies them out of the document's serialized index.
         let expected = reference.serialize();
         let ct = CompiledTransform::compile(q.clone());
-        for m in [Method::TopDown, Method::TwoPass] {
+        let index = Serialized::build(&doc).unwrap();
+        for (m, index) in [Method::TopDown, Method::TwoPass]
+            .into_iter()
+            .flat_map(|m| [(m, None), (m, Some(&index))])
+        {
             let mut got = String::new();
-            ct.evaluate_into(&doc, m, &mut got).unwrap();
+            ct.evaluate_into(&doc, index, m, &mut got).unwrap();
             prop_assert_eq!(
                 &got,
                 &expected,
