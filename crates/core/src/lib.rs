@@ -66,7 +66,7 @@ pub use multi::{
 pub use multi_sax::{multi_two_pass_sax, multi_two_pass_sax_files, multi_two_pass_sax_str};
 pub use multi_view::{multi_view, multi_view_with_stats, MultiViewStats, SharedViewResult};
 pub use naive::{naive_direct, naive_xquery, rewrite_to_xquery};
-pub use patch::{site_chain, Collapse, FragmentTree, Localized, PatchOutcome};
+pub use patch::{site_chain, FragmentTree, Localized, PatchOutcome};
 pub use prepared::{method_for, CompiledTransform};
 pub use query::{parse_transform, InsertPos, TransformParseError, TransformQuery, UpdateOp};
 pub use sax2pass::{

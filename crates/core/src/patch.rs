@@ -42,10 +42,11 @@
 //!   [`crate::delta::qualifier_anchor_alphabet_into`]) before patching.
 //!
 //! Construction is conservative: any shape the alignment model does not
-//! cover exactly (selected root, ε path, consumption mismatch) yields no
-//! tree, and the entry simply behaves as before (flat body, retain or
-//! recompute). Differential fuzzers in `tests/update_maintenance.rs`
-//! hold patched entries byte-identical to full recompute.
+//! cover exactly (selected root, ε path, consumption mismatch) gets an
+//! [opaque](FragmentTree::opaque) tree, whose entry is retained or
+//! recomputed, never patched. Differential fuzzers in
+//! `tests/update_maintenance.rs` hold patched entries byte-identical to
+//! full recompute.
 
 use std::collections::{HashMap, HashSet};
 
@@ -71,13 +72,14 @@ fn frag_budget(live_nodes: usize) -> usize {
 /// none, a selected sibling-insert produces two).
 #[derive(Debug, Clone)]
 struct Fragment {
-    /// Base-document node whose recursion produced this fragment.
-    src: NodeId,
+    /// Base-document node whose recursion produced this fragment
+    /// (`None` only for the root over an empty base).
+    src: Option<NodeId>,
     /// Result-document nodes it produced, in sibling order.
     dst: Vec<NodeId>,
     /// Selecting-NFA states live *before* consuming `src`'s label — the
     /// set `topDown` passed into `rec(src, s)`. Re-evaluation resumes
-    /// from exactly here.
+    /// from exactly here (the root is never re-evaluated).
     states: StateSet,
     /// Child fragments (interior fragments only), in base child order.
     children: Vec<usize>,
@@ -101,16 +103,6 @@ pub enum Localized {
     /// A chain resolved to the root fragment: the affected span is the
     /// whole result — fall back to recompute.
     Root,
-}
-
-/// Outcome of a collapse repair along one chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Collapse {
-    /// The covering fragment was collapsed to an opaque leaf.
-    Done,
-    /// The chain resolved to the root fragment: the whole tree is
-    /// stale — the caller must drop it.
-    RootHit,
 }
 
 /// What [`FragmentTree::patch`] did.
@@ -154,66 +146,71 @@ impl FragmentTree {
     /// Records the provenance of `result = q(base)` as a fragment tree,
     /// descending only into base subtrees larger than `leaf_limit`
     /// while the tree stays within its fragment budget.
-    /// `nfa` must be the selecting NFA compiled from `q.path`. Returns
-    /// `None` for shapes the alignment model does not cover (ε path,
-    /// selected root under a non-rename op, empty documents, alignment
-    /// mismatch) — the caller keeps serving from the flat body.
+    /// `nfa` must be the selecting NFA compiled from `q.path`. Shapes
+    /// the alignment model does not cover (ε path, selected root under
+    /// a non-rename op, unmatched or empty results, alignment mismatch)
+    /// get an [opaque](FragmentTree::opaque) tree.
     pub fn build(
         base: &Document,
         result: &Document,
         q: &TransformQuery,
         nfa: &SelectingNfa,
         leaf_limit: usize,
-    ) -> Option<FragmentTree> {
-        if q.path.is_empty() {
-            return None; // ε path: the root op is special-cased upstream
-        }
-        let broot = base.root()?;
-        let rroot = result.root()?;
-        let root_label = base.name_sym(broot)?;
-        let init = nfa.initial();
-        let s_after = nfa.next_states(&init, root_label, |_, qual| {
+    ) -> FragmentTree {
+        let mut t = FragmentTree::opaque(base, result);
+        t.leaf_limit = leaf_limit.max(1);
+        t.budget = frag_budget(base.arena_len() - base.free_slots());
+        let (Some(broot), Some(_)) = (base.root(), result.root()) else {
+            return t;
+        };
+        let Some(root_label) = base.name_sym(broot) else {
+            return t;
+        };
+        let s_after = nfa.next_states(&nfa.initial(), root_label, |_, qual| {
             eval_qualifier(base, broot, qual)
         });
-        if s_after.is_empty() {
-            return None; // wholesale copy: one giant leaf would be useless
-        }
-        if s_after.contains(nfa.final_state) && !matches!(q.op, UpdateOp::Rename { .. }) {
-            return None; // selected root shifts child alignment (or empties the doc)
-        }
-        let budget = frag_budget(base.arena_len() - base.free_slots());
-        if base.children(broot).count() >= budget {
-            return None;
+        // An ε path's root op is special-cased upstream. An automaton
+        // dead at the root copies the document wholesale: one giant leaf
+        // is all there is. A selected root shifts child alignment (or
+        // empties the document) unless it is only renamed.
+        let selected = s_after.contains(nfa.final_state);
+        if q.path.is_empty()
+            || s_after.is_empty()
+            || (selected && !matches!(q.op, UpdateOp::Rename { .. }))
+            || base.children(broot).count() >= t.budget
+        {
+            return t;
         }
         let sizes = subtree_sizes(base);
+        t.split(base, result, q, nfa, &|n| sizes[n.index()], 0, &s_after);
+        t
+    }
+
+    /// A tree with no provenance below its root: one root leaf that
+    /// serializes the whole of `result = q(base)`. Every site localizes
+    /// to the root, so an entry holding it is retained or recomputed,
+    /// never patched.
+    pub fn opaque(base: &Document, result: &Document) -> FragmentTree {
         let mut t = FragmentTree {
             frags: Vec::new(),
             free: Vec::new(),
             src_index: HashMap::new(),
             dst_index: HashMap::new(),
-            leaf_limit: leaf_limit.max(1),
-            budget,
+            leaf_limit: 1,
+            budget: 1,
             assembled_len: 0,
         };
-        let root = t.alloc(Fragment {
-            src: broot,
-            dst: vec![rroot],
-            states: init,
+        t.alloc(Fragment {
+            src: base.root(),
+            dst: result.root().into_iter().collect(),
+            states: StateSet::new(0),
             children: Vec::new(),
             parent: None,
             bytes: None,
-            size: sizes[broot.index()],
+            size: 0,
             interior: false,
         });
-        debug_assert_eq!(root, 0);
-        let sz = |n: NodeId| sizes[n.index()];
-        let mut created = Vec::new();
-        if t.align_children(base, result, q, nfa, &sz, root, &s_after, &mut created)
-            .is_err()
-        {
-            return None;
-        }
-        Some(t)
+        t
     }
 
     fn frag(&self, i: usize) -> &Fragment {
@@ -265,7 +262,9 @@ impl FragmentTree {
             let f = self.frag(i);
             (f.src, f.dst.clone())
         };
-        self.src_index.insert(src, i);
+        if let Some(src) = src {
+            self.src_index.insert(src, i);
+        }
         for d in dsts {
             self.dst_index.insert(d, i);
         }
@@ -278,7 +277,9 @@ impl FragmentTree {
         let Some(f) = self.frags[i].take() else {
             return;
         };
-        self.src_index.remove(&f.src);
+        if let Some(src) = f.src {
+            self.src_index.remove(&src);
+        }
         for d in &f.dst {
             self.dst_index.remove(d);
         }
@@ -309,13 +310,37 @@ impl FragmentTree {
         f.bytes = None;
     }
 
+    /// Gives fragment `fi` one child fragment per base child (see
+    /// `align_children`), or leaves it an opaque leaf when the fragment
+    /// model does not reproduce the result's shape below it.
+    #[allow(clippy::too_many_arguments)]
+    fn split(
+        &mut self,
+        base: &Document,
+        result: &Document,
+        q: &TransformQuery,
+        nfa: &SelectingNfa,
+        sizes: &dyn Fn(NodeId) -> u32,
+        fi: usize,
+        s_after: &StateSet,
+    ) {
+        let mut created = Vec::new();
+        if self
+            .align_children(base, result, q, nfa, sizes, fi, s_after, &mut created)
+            .is_err()
+        {
+            for &ci in created.iter().rev() {
+                self.release(ci);
+            }
+        }
+    }
+
     /// Lockstep alignment of the base children of fragment `fi`'s `src`
     /// with the result children of its single `dst`, creating one child
     /// fragment per base child and recursing into eligible subtrees.
     /// `s_after` is the state set *after* consuming `src`'s label (what
-    /// `topDown` passed to every child). On `Err` the caller rolls back
-    /// via `created` — the fragment model did not reproduce the result's
-    /// actual shape, so no provenance is recorded below `fi`.
+    /// `topDown` passed to every child). On `Err` [`FragmentTree::split`]
+    /// rolls back via `created`.
     #[allow(clippy::too_many_arguments)]
     fn align_children(
         &mut self,
@@ -328,7 +353,7 @@ impl FragmentTree {
         s_after: &StateSet,
         created: &mut Vec<usize>,
     ) -> Result<(), Misaligned> {
-        let src = self.frag(fi).src;
+        let src = self.frag(fi).src.expect("aligned fragments have a source");
         let m = self.frag(fi).dst[0];
         let mut rchild = result.first_child(m);
         let bchildren: Vec<NodeId> = base.children(src).collect();
@@ -344,7 +369,7 @@ impl FragmentTree {
                     }
                     rchild = result.next_sibling(rc);
                     let ci = self.alloc(Fragment {
-                        src: c,
+                        src: Some(c),
                         dst: vec![rc],
                         states: s_after.clone(),
                         children: Vec::new(),
@@ -367,7 +392,7 @@ impl FragmentTree {
                         rchild = result.next_sibling(rc);
                     }
                     let ci = self.alloc(Fragment {
-                        src: c,
+                        src: Some(c),
                         dst: dsts,
                         states: s_after.clone(),
                         children: Vec::new(),
@@ -467,7 +492,7 @@ impl FragmentTree {
         let (src, states, parent, old_dsts) = {
             let f = self.frag(fi);
             (
-                f.src,
+                f.src.expect("patched fragments have a source"),
                 f.states.clone(),
                 f.parent.expect("root is never patched"),
                 f.dst.clone(),
@@ -530,50 +555,43 @@ impl FragmentTree {
         let size = self.frag(fi).size;
         if self.descend(base, src, produced.len(), selected, &q.op, size) {
             let sz = |n: NodeId| rsizes.get(&n).copied().unwrap_or(1);
-            let mut created = Vec::new();
-            if self
-                .align_children(base, out, q, nfa, &sz, fi, &s_after, &mut created)
-                .is_err()
-            {
-                for &ci in created.iter().rev() {
-                    self.release(ci);
-                }
-                let f = self.frag_mut(fi);
-                f.children.clear();
-                f.interior = false;
-            }
+            self.split(base, out, q, nfa, &sz, fi, &s_after);
         }
     }
 
-    /// Base-side collapse repair: after a *retained* write replayed its
-    /// delta, every fragment whose recorded base subtree covers an
-    /// update site has stale provenance below it. Collapses the deepest
-    /// covering fragment of `chain` (deepest-first pre-apply base ids)
-    /// to an opaque leaf.
-    pub fn collapse_src(&mut self, chain: &[NodeId]) -> Collapse {
-        let Some(fi) = chain.iter().find_map(|n| self.src_index.get(n).copied()) else {
-            return Collapse::RootHit;
-        };
-        if fi == 0 {
-            return Collapse::RootHit;
+    /// Collapse repair after a *retained* write replayed its delta: every
+    /// fragment whose recorded base subtree covers an update site has
+    /// stale provenance below it, and the replay edited the cached
+    /// result under its own target chains. Collapses the deepest
+    /// covering fragment of each `sites` chain (deepest-first pre-apply
+    /// base ids) and each `replayed` chain (pre-replay result ids) to an
+    /// opaque leaf — the root when no fragment covers the chain.
+    pub fn collapse(&mut self, sites: &[Vec<NodeId>], replayed: &[Vec<NodeId>]) {
+        for chain in sites {
+            let fi = chain.iter().find_map(|n| self.src_index.get(n).copied());
+            self.free_children(fi.unwrap_or(0));
         }
-        self.free_children(fi);
-        Collapse::Done
+        for chain in replayed {
+            let fi = chain.iter().find_map(|n| self.dst_index.get(n).copied());
+            self.free_children(fi.unwrap_or(0));
+        }
     }
 
-    /// Result-side collapse repair: the retained delta replay also
-    /// edited the cached result document, invalidating dst ids and
-    /// memoized bytes under the replay's own target chains (deepest-
-    /// first pre-replay result ids).
-    pub fn collapse_dst(&mut self, chain: &[NodeId]) -> Collapse {
-        let Some(fi) = chain.iter().find_map(|n| self.dst_index.get(n).copied()) else {
-            return Collapse::RootHit;
-        };
-        if fi == 0 {
-            return Collapse::RootHit;
-        }
-        self.free_children(fi);
-        Collapse::Done
+    /// Collapses the whole tree to one root leaf, for an edit of the
+    /// result whose sites are unknown. The next
+    /// [`FragmentTree::assemble`] re-serializes the whole result.
+    pub fn collapse_root(&mut self) {
+        self.free_children(0);
+    }
+
+    /// Bytes memoized in leaf fragments: what the tree holds of the
+    /// serialized result.
+    pub fn leaf_bytes(&self) -> usize {
+        let leaves = self.frags.iter().flatten();
+        leaves
+            .filter_map(|f| f.bytes.as_ref())
+            .map(String::len)
+            .sum()
     }
 
     /// Serializes the whole result by walking the fragment tree:
@@ -607,8 +625,14 @@ impl FragmentTree {
                 None => {
                     // Serialize straight onto `out`, then memoize that
                     // span: one exact-size copy, no per-node temporaries.
+                    // The root leaf reads the current root, which a
+                    // replayed write may have replaced.
+                    let dsts = match i {
+                        0 => doc.root().into_iter().collect(),
+                        _ => self.frag(i).dst.clone(),
+                    };
                     let start = out.len();
-                    for &d in &self.frag(i).dst {
+                    for d in dsts {
                         doc.serialize_into(d, out);
                     }
                     self.frag_mut(i).bytes = Some(out[start..].to_owned());
@@ -619,8 +643,7 @@ impl FragmentTree {
 }
 
 /// The deepest-first ancestor-or-self chain of `n` — the shape
-/// [`FragmentTree::localize`], [`FragmentTree::collapse_src`] and
-/// [`FragmentTree::collapse_dst`] consume.
+/// [`FragmentTree::localize`] and [`FragmentTree::collapse`] consume.
 pub fn site_chain(doc: &Document, n: NodeId) -> Vec<NodeId> {
     let mut chain = vec![n];
     chain.extend(doc.ancestors(n));
@@ -727,7 +750,7 @@ mod tests {
             let (q, nfa) = view(vq);
             let mut base = Document::parse(DOC).unwrap();
             let result = top_down(&base, &q);
-            let mut tree = FragmentTree::build(&base, &result, &q, &nfa, 1).expect("tree builds");
+            let mut tree = FragmentTree::build(&base, &result, &q, &nfa, 1);
             let mut out = Document::new();
             let r = out.deep_copy_from(&result, result.root().unwrap());
             out.set_root(r);
@@ -783,7 +806,7 @@ mod tests {
         let (q, nfa) = view(DELETE_PRICE);
         let mut base = Document::parse(DOC).unwrap();
         let result = top_down(&base, &q);
-        let mut tree = FragmentTree::build(&base, &result, &q, &nfa, 1).unwrap();
+        let mut tree = FragmentTree::build(&base, &result, &q, &nfa, 1);
         let mut out = Document::new();
         let r = out.deep_copy_from(&result, result.root().unwrap());
         out.set_root(r);
@@ -821,7 +844,7 @@ mod tests {
             Document::parse("<db><zone><part>1</part><tail>t</tail></zone></db>").unwrap();
         let result = top_down(&base, &q);
         assert_eq!(result.serialize(), "<db><zone><tail>t</tail></zone></db>");
-        let mut tree = FragmentTree::build(&base, &result, &q, &nfa, 1).unwrap();
+        let mut tree = FragmentTree::build(&base, &result, &q, &nfa, 1);
         let mut out = Document::new();
         let r = out.deep_copy_from(&result, result.root().unwrap());
         out.set_root(r);
@@ -848,7 +871,7 @@ mod tests {
         let (q, nfa) = view(DELETE_PRICE);
         let base = Document::parse(DOC).unwrap();
         let result = top_down(&base, &q);
-        let mut tree = FragmentTree::build(&base, &result, &q, &nfa, 1).unwrap();
+        let mut tree = FragmentTree::build(&base, &result, &q, &nfa, 1);
         let mut out = Document::new();
         let r = out.deep_copy_from(&result, result.root().unwrap());
         out.set_root(r);
@@ -860,32 +883,53 @@ mod tests {
         let t = pnames[0];
         let chain = site_chain(&out, t);
         out.rename(t, "renamed");
-        assert_eq!(tree.collapse_dst(&chain), Collapse::Done);
+        let count = tree.fragment_count();
+        tree.collapse(&[], &[chain]);
+        assert!(tree.fragment_count() < count && tree.fragment_count() > 1);
         assert_eq!(tree.assemble(&out), out.serialize());
-        // Root chain: whole tree stale.
-        assert_eq!(tree.collapse_dst(&[out.root().unwrap()]), Collapse::RootHit);
+        // A root chain collapses the whole tree to its root leaf.
+        tree.collapse(&[], &[vec![out.root().unwrap()]]);
+        assert_eq!(tree.fragment_count(), 1);
+        assert_eq!(tree.assemble(&out), out.serialize());
     }
 
+    /// Shapes the alignment model does not cover build an opaque tree:
+    /// it serializes the whole result, keeps serving it after a
+    /// replayed write replaces the result's root, and localizes every
+    /// site to the root.
     #[test]
-    fn conservative_shapes_build_no_tree() {
-        // ε path.
-        let (q, nfa) = view(r#"transform copy $a := doc("db") modify do delete $a return $a"#);
+    fn conservative_shapes_build_opaque_trees() {
         let base = Document::parse("<db><a/></db>").unwrap();
-        assert!(FragmentTree::build(&base, &Document::new(), &q, &nfa, 1).is_none());
-        // Selected root under a delete.
-        let (q, nfa) =
-            view(r#"transform copy $a := doc("db") modify do insert <x/> into $a//db return $a"#);
-        let result = top_down(&base, &q);
-        assert!(
-            FragmentTree::build(&base, &result, &q, &nfa, 1).is_none(),
-            "selected root shifts alignment"
-        );
-        // Unmatched path: root s_next empty only when the automaton dies
-        // at the root label.
-        let (q, nfa) =
-            view(r#"transform copy $a := doc("db") modify do delete $a/zzz/yyy return $a"#);
-        let result = top_down(&base, &q);
-        assert!(FragmentTree::build(&base, &result, &q, &nfa, 1).is_none());
+        let shapes = [
+            // ε path: the result is empty.
+            r#"transform copy $a := doc("db") modify do delete $a return $a"#,
+            // Selected root under a non-rename op shifts alignment.
+            r#"transform copy $a := doc("db") modify do insert <x/> into $a//db return $a"#,
+            // Unmatched path: the automaton dies at the root label.
+            r#"transform copy $a := doc("db") modify do delete $a/zzz/yyy return $a"#,
+        ];
+        for vq in shapes {
+            let (q, nfa) = view(vq);
+            let mut result = top_down(&base, &q);
+            let mut tree = FragmentTree::build(&base, &result, &q, &nfa, 1);
+            assert_eq!(tree.fragment_count(), 1, "{vq}");
+            assert_eq!(tree.assemble(&result), result.serialize(), "{vq}");
+            assert!(tree.leaf_bytes() <= result.serialize().len(), "{vq}");
+            let chain = site_chain(&base, base.root().unwrap());
+            assert_eq!(tree.localize(&[chain]), Localized::Root, "{vq}");
+            let Some(root) = result.root() else {
+                continue; // nothing to replace
+            };
+            // A retained replay that replaces the root; its chain maps
+            // to no fragment, so the repair collapses the root.
+            let swap = UpdateOp::Replace {
+                elem: Document::parse("<swap><b/></swap>").unwrap(),
+            };
+            let chain = site_chain(&result, root);
+            apply_update(&mut result, &[root], &swap);
+            tree.collapse(&[], &[chain]);
+            assert_eq!(tree.assemble(&result), "<swap><b/></swap>", "{vq}");
+        }
     }
 
     /// Builds `q`'s fragment tree over `base` (leaf limit `leaf`), applies
@@ -901,7 +945,7 @@ mod tests {
     ) -> (FragmentTree, u64) {
         let (q, nfa) = view(vq);
         let result = top_down(base, &q);
-        let mut tree = FragmentTree::build(base, &result, &q, &nfa, leaf).expect("tree builds");
+        let mut tree = FragmentTree::build(base, &result, &q, &nfa, leaf);
         assert!(tree.fragment_count() <= tree.budget);
         let mut out = Document::new();
         let r = out.deep_copy_from(&result, result.root().unwrap());
@@ -981,7 +1025,7 @@ mod tests {
         let base = Document::parse(&xml).unwrap();
         let (q, nfa) = view(VQ);
         let result = top_down(&base, &q);
-        let tree = FragmentTree::build(&base, &result, &q, &nfa, 512).unwrap();
+        let tree = FragmentTree::build(&base, &result, &q, &nfa, 512);
         assert_eq!(
             tree.fragment_count(),
             3,
@@ -995,7 +1039,7 @@ mod tests {
         let (q, nfa) = view(DELETE_PRICE);
         let base = Document::parse(DOC).unwrap();
         let result = top_down(&base, &q);
-        let tree = FragmentTree::build(&base, &result, &q, &nfa, 1).unwrap();
+        let tree = FragmentTree::build(&base, &result, &q, &nfa, 1);
         let parts = eval_path_root(&base, &xust_xpath::parse_path("//part").unwrap());
         let zone = eval_path_root(&base, &xust_xpath::parse_path("/db/zone").unwrap())[0];
         // Two sites under the same zone plus the zone itself: the zone

@@ -917,6 +917,7 @@ impl Server {
         snap.store_docs = i.docs.len() as u64;
         snap.result_cache_entries = i.results.len() as u64;
         snap.result_cache_docs = i.results.doc_count() as u64;
+        snap.result_cache_bytes = i.results.heap_bytes() as u64;
         snap.views_registered = i.registry.names().len() as u64;
         snap.requests_traced = i.obs.requests_traced();
         snap.prepared_caches = vec![
@@ -1101,9 +1102,7 @@ impl Server {
         rt.phase(Phase::Cache, t);
         rt.note_result(found.is_some());
         found.map(|body| Response {
-            // The owned copy the response needs is made here, outside
-            // the cache mutex — a hit only bumps a refcount inside it.
-            body: body.to_string(),
+            body,
             method: None, // no evaluation ran at all
             micros: 0,
             cache_hit: true,
@@ -1112,9 +1111,9 @@ impl Server {
 
     /// The one cache fill: evaluates each of `defs` (live chain views)
     /// over `base` — the source `docs` resolved for `doc` at `version` —
-    /// serializes the result, and caches it with its touched labels and,
-    /// when patching, its fragment tree. Returns each view's body and
-    /// method, in `defs` order.
+    /// serializes the result through its fragment tree, and caches both
+    /// with its touched labels. Returns each view's body and method, in
+    /// `defs` order.
     ///
     /// Single-link GENTOP views (`rides_shared_pass`) ride one
     /// [`multi_view_with_stats`] sweep and take `r[[p]]` from it (the
@@ -1174,7 +1173,11 @@ impl Server {
                     _ => self.materialize(def, base, Some(&mut touched), rt)?,
                 };
                 let t = rt.start();
-                let body = out.serialize();
+                let opaque = || FragmentTree::opaque(base, &out);
+                let mut frags = def.single().map_or_else(opaque, |link| {
+                    FragmentTree::build(base, &out, link.query(), link.selecting(), leaf_limit)
+                });
+                let body = frags.assemble(&out);
                 // Cache only if no write landed since the versioned
                 // read: the version re-check keeps a racing write from
                 // tagging post-write content with the pre-write version
@@ -1183,16 +1186,12 @@ impl Server {
                 // pre-write version, and `insert` never downgrades a
                 // newer resident entry).
                 if docs.still_at(doc, version) {
-                    let frags = def.single().filter(|_| inner.patching).and_then(|link| {
-                        FragmentTree::build(base, &out, link.query(), link.selecting(), leaf_limit)
-                    });
                     inner.results.insert(
                         &def.cache_key,
                         doc,
                         version,
                         def.cache_generation,
                         out,
-                        Arc::from(body.as_str()),
                         def.alphabet.clone(),
                         touched,
                         frags,

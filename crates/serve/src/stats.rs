@@ -440,6 +440,7 @@ counter_table! {
     }
     filled {
         interned_labels: Gauge "cache.interned_labels", "interned_labels", "interned_labels", "Distinct labels in the shared interner (it never shrinks).";
+        result_cache_bytes: Gauge "cache.result_bytes", "result_cache_bytes", "result_cache_bytes", "Bytes held by cached view results: result trees plus their fragment leaves' serialized bytes.";
         result_hits: Counter "updates.result_hits", "result_hits", "result_cache_hits_total", "View-result cache hits.";
         result_misses: Counter "updates.result_misses", "result_misses", "result_cache_misses_total", "View-result cache misses.";
         executor_in_flight: Gauge "", "", "executor_in_flight", "Jobs running on the worker pool.";

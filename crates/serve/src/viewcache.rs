@@ -47,32 +47,33 @@
 //!   *nodes* whose names just changed, and later relevance tests must
 //!   see the current names, not the materialization-time ones.
 //! * **patched** — the relevance test fails (the write genuinely
-//!   changes the view's output) but the entry carries a
-//!   [`FragmentTree`] provenance map and the write is a single-rule
-//!   update whose sites localize to a small set of recorded fragments:
-//!   the view is re-evaluated **only under those base subtrees** with
-//!   the fragment's stored NFA states, and the fresh result nodes are
-//!   spliced over the stale ones in the cached tree. Unaffected
-//!   fragments keep their memoized serialization bytes, so both patch
-//!   time and the next re-serialization are proportional to the
-//!   affected span, not the result size — the update-time-sublinear
-//!   regime. Eligibility additionally requires the update's guard
-//!   labels (every label on a site's ancestor chain, plus rename
-//!   targets) to be disjoint from the view's qualifier *anchor*
-//!   alphabet: a write can flip a qualifier verdict only at
+//!   changes the view's output) but the write is a single-rule update
+//!   whose sites localize to a small set of fragments recorded in the
+//!   entry's [`FragmentTree`]: the view is re-evaluated **only under
+//!   those base subtrees** with the fragment's stored NFA states, and
+//!   the fresh result nodes are spliced over the stale ones in the
+//!   cached tree. Unaffected fragments keep their memoized
+//!   serialization bytes, so both patch time and the next assembly are
+//!   proportional to the affected span, not the result size — the
+//!   update-time-sublinear regime. Eligibility additionally requires
+//!   the update's guard labels (every label on a site's ancestor chain,
+//!   plus rename targets) to be disjoint from the view's qualifier
+//!   *anchor* alphabet: a write can flip a qualifier verdict only at
 //!   ancestors-or-self of its targets, so disjointness proves every
 //!   selection decision outside the patched regions is unchanged.
-//! * **recomputed** — the test fails and patching is ineligible (no
-//!   provenance, multi-rule write, guard overlap, affected span above
-//!   the fallback threshold, or a site localizing to the root
-//!   fragment): the entry is dropped and the next request rebuilds it
-//!   lazily.
+//! * **recomputed** — the test fails and patching is ineligible
+//!   (multi-rule write, guard overlap, affected span above the fallback
+//!   threshold, or a site localizing to the root fragment, which every
+//!   site of an opaque tree does): the entry is dropped and the next
+//!   request rebuilds it lazily.
 //!
-//! Retained entries with a non-empty delta get their provenance
-//! *repaired* rather than rebuilt: the deepest fragment covering each
-//! update site (on the base side) and each replayed target (on the
-//! result side) is collapsed to an opaque leaf — still correct, just
-//! less granular, until the next full materialization restores detail.
+//! An entry is a result tree plus a fragment tree whose leaves hold the
+//! only serialized copy; a hit assembles them. Retained entries with a
+//! non-empty delta get their provenance *repaired* rather than rebuilt:
+//! the deepest fragment covering each update site (on the base side)
+//! and each replayed target (on the result side) is collapsed to an
+//! opaque leaf — still correct, just less granular, until the next full
+//! materialization restores detail.
 //!
 //! There is no "stale" fate: under shard-epoch keying a
 //! neighbour's write silently un-keyed every same-shard entry, and the
@@ -88,7 +89,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering}; // lint: atomic-ok (h
 use std::sync::{Arc, Mutex, RwLock};
 
 use xust_core::delta::{RenameMapping, TouchedLabels};
-use xust_core::{Collapse, CompiledTransform, FragmentTree, LabelSet, Localized, PatchOutcome};
+use xust_core::{CompiledTransform, FragmentTree, LabelSet, Localized, PatchOutcome};
 use xust_tree::{Document, NodeId};
 
 /// Fallback threshold: patch only when the affected base span times
@@ -146,13 +147,6 @@ struct Entry {
     /// The materialized result as a tree — kept so retained entries can
     /// have the delta applied to them in place.
     doc: Document,
-    /// `doc` serialized (what responses ship), shared so a hit hands
-    /// out a refcount bump instead of copying the whole body inside
-    /// the shard mutex. `None` after maintenance edited `doc`:
-    /// re-serialized lazily on the first hit, so the write path's
-    /// critical section stays proportional to the delta, not to the
-    /// total size of every retained result.
-    body: Option<Arc<str>>,
     /// The registration generation of the view definition this result
     /// was materialized under (see `ViewDef::generation`).
     generation: u64,
@@ -167,11 +161,11 @@ struct Entry {
     /// by writes to *that* document, never by shard neighbours.
     version: u64,
     /// Provenance of `doc` — which base subtrees produced which result
-    /// fragments, with memoized per-fragment bytes. Present only when
-    /// the materialization path could record it (single-transform view,
-    /// alignable shape); dropped whenever a write's effect on it cannot
-    /// be repaired. `None` simply disables the patch fate.
-    frags: Option<FragmentTree>,
+    /// fragments — with memoized per-fragment bytes, the entry's only
+    /// serialized copy. Opaque when the materialization could not record
+    /// provenance (multi-link chain, unalignable shape), which disables
+    /// the patch fate; edits maintenance cannot localize collapse it.
+    frags: FragmentTree,
     /// LRU clock value of the last hit.
     last_use: u64,
 }
@@ -223,8 +217,6 @@ pub enum Fallback {
     Root,
     /// The write's guard labels meet the view's qualifier anchors.
     Guard,
-    /// The entry carries no provenance map.
-    NoMap,
     /// The view was re-registered (the entry's generation is not the
     /// registered one) or removed since the entry was materialized.
     Generation,
@@ -238,11 +230,10 @@ pub enum Fallback {
 
 impl Fallback {
     /// Every reason, in declaration (index) order.
-    pub const ALL: [Fallback; 7] = [
+    pub const ALL: [Fallback; 6] = [
         Fallback::Threshold,
         Fallback::Root,
         Fallback::Guard,
-        Fallback::NoMap,
         Fallback::Generation,
         Fallback::Stale,
         Fallback::NoCtx,
@@ -254,7 +245,6 @@ impl Fallback {
             Fallback::Threshold => "threshold",
             Fallback::Root => "root",
             Fallback::Guard => "guard",
-            Fallback::NoMap => "no_map",
             Fallback::Generation => "generation",
             Fallback::Stale => "stale",
             Fallback::NoCtx => "no_ctx",
@@ -343,10 +333,11 @@ impl ViewResultCache {
 
     /// The cached body for `(view, doc)` **at exactly** document
     /// version `version`, under exactly view-definition `generation`,
-    /// if any. A counted miss means the caller is about to materialize.
-    /// The first hit after a maintenance edit pays the
-    /// (re-)serialization here — outside the store's shard lock.
-    pub fn get(&self, view: &str, doc: &str, version: u64, generation: u64) -> Option<Arc<str>> {
+    /// if any, assembled from the entry's fragment leaves. A counted
+    /// miss means the caller is about to materialize. The first hit
+    /// after a maintenance edit re-serializes the leaves it touched
+    /// here — outside the store's shard lock.
+    pub fn get(&self, view: &str, doc: &str, version: u64, generation: u64) -> Option<String> {
         if self.capacity == 0 {
             return None;
         }
@@ -355,17 +346,7 @@ impl ViewResultCache {
             match state.views.get_mut(view) {
                 Some(e) if e.version == version && e.generation == generation => {
                     e.last_use = self.next_tick();
-                    if e.body.is_none() {
-                        // Re-serialize through the provenance map when
-                        // one is live: fragments untouched since the
-                        // last serialization reuse their memoized bytes.
-                        let s = match e.frags.as_mut() {
-                            Some(t) => t.assemble(&e.doc),
-                            None => e.doc.serialize(),
-                        };
-                        e.body = Some(s.into());
-                    }
-                    Some(Arc::clone(e.body.as_ref().expect("just materialized")))
+                    Some(e.frags.assemble(&e.doc))
                 }
                 _ => None,
             }
@@ -400,9 +381,8 @@ impl ViewResultCache {
     /// A resident entry at a *newer* version or generation wins over
     /// the candidate: a batch pinned to an old snapshot must not
     /// clobber a maintained, up-to-date result with its older one.
-    /// `frags`, when present, is the provenance map recorded over
-    /// `result` at materialization time — it enables the patch fate for
-    /// this entry. `body` is `result` serialized, shared as is.
+    /// `frags` is the fragment tree recorded over `result` at
+    /// materialization time; its leaves hold the served bytes.
     #[allow(clippy::too_many_arguments)]
     pub fn insert(
         &self,
@@ -411,17 +391,15 @@ impl ViewResultCache {
         version: u64,
         generation: u64,
         result: Document,
-        body: Arc<str>,
         view_alphabet: LabelSet,
         view_touched: TouchedLabels,
-        frags: Option<FragmentTree>,
+        frags: FragmentTree,
     ) {
         if self.capacity == 0 {
             return;
         }
         let entry = Entry {
             doc: result,
-            body: Some(body),
             generation,
             view_alphabet,
             view_touched,
@@ -539,8 +517,9 @@ impl ViewResultCache {
     ///
     /// `patch_ctx`, when present (single-rule writes only), enables two
     /// things: provenance *repair* on retained entries (collapse along
-    /// site and replay chains instead of dropping the fragment tree),
-    /// and the **patch** fate for entries that fail the relevance test.
+    /// site and replay chains instead of collapsing the whole fragment
+    /// tree), and the **patch** fate for entries that fail the
+    /// relevance test.
     /// Fates are tried in order retain → patch → recompute: retention
     /// is strictly cheaper than patching, so a commuting write never
     /// pays for localization.
@@ -588,33 +567,17 @@ impl ViewResultCache {
             if retain {
                 if !delta.is_empty() {
                     let replay = apply_delta(&mut e.doc);
-                    // Serialization deferred to the next hit: the store's
-                    // shard write lock is held here, and the sweep must
-                    // stay proportional to the delta.
-                    e.body = None;
                     // Provenance repair: the write changed both the base
                     // (site chains) and the cached result (replay
                     // chains). Collapse the deepest covering fragment of
-                    // each to an opaque leaf; if any chain reaches the
-                    // root fragment — or there is no patch context to
-                    // localize against — the whole map is stale.
-                    if e.frags.is_some() {
-                        let repaired = match patch_ctx {
-                            Some(ctx) => {
-                                let t = e.frags.as_mut().expect("checked above");
-                                ctx.sites
-                                    .iter()
-                                    .all(|c| t.collapse_src(c) == Collapse::Done)
-                                    && replay
-                                        .chains
-                                        .iter()
-                                        .all(|c| t.collapse_dst(c) == Collapse::Done)
-                            }
-                            None => false,
-                        };
-                        if !repaired {
-                            e.frags = None;
-                        }
+                    // each to an opaque leaf, whose bytes the next hit
+                    // re-serializes: the store's shard write lock is
+                    // held here, and the sweep must stay proportional to
+                    // the delta. Without a patch context the sites are
+                    // unknown, so the whole tree collapses.
+                    match patch_ctx {
+                        Some(ctx) => e.frags.collapse(ctx.sites, &replay.chains),
+                        None => e.frags.collapse_root(),
                     }
                     // The write just renamed nodes in the cached tree;
                     // rename the stored footprint with them. (For a
@@ -636,7 +599,6 @@ impl ViewResultCache {
                 }) {
                     Ok(po) => {
                         e.version = new_version;
-                        e.body = None; // next hit re-assembles through the map
                         outcome.patched.push(view.clone());
                         outcome.patched_fragments += po.fragments as u64;
                         true
@@ -674,20 +636,20 @@ impl ViewResultCache {
         dropped
     }
 
+    /// Every document's shard, collected so the outer lock is released
+    /// before any shard mutex is taken.
+    fn all_shards(&self) -> Vec<Arc<DocCacheShard>> {
+        let shards = self.shards.read().expect("view cache lock poisoned");
+        shards.values().cloned().collect()
+    }
+
     /// Drops every entry for `view` across all documents
     /// (re-registering a view changes its meaning). Returns how many
     /// were dropped. Document shards themselves stay — their documents
     /// are still loaded.
     pub fn purge_view(&self, view: &str) -> usize {
-        let shards: Vec<Arc<DocCacheShard>> = self
-            .shards
-            .read()
-            .expect("view cache lock poisoned")
-            .values()
-            .cloned()
-            .collect();
         let mut dropped = 0;
-        for shard in shards {
+        for shard in self.all_shards() {
             let mut state = shard.state.lock().expect("view cache shard poisoned");
             if state.views.remove(view).is_some() {
                 dropped += 1;
@@ -700,6 +662,20 @@ impl ViewResultCache {
     /// Cached entries right now.
     pub fn len(&self) -> usize {
         self.entries.load(Ordering::Relaxed) // relaxed: point-in-time read; staleness is fine
+    }
+
+    /// Bytes the cached views hold: each entry's result tree (its
+    /// buffers' capacity) plus its fragment tree's leaf bytes. Takes
+    /// each shard mutex in turn.
+    pub fn heap_bytes(&self) -> usize {
+        let mut bytes = 0;
+        for shard in self.all_shards() {
+            let state = shard.state.lock().expect("view cache shard poisoned");
+            for e in state.views.values() {
+                bytes += e.doc.heap_bytes() + e.frags.leaf_bytes();
+            }
+        }
+        bytes
     }
 
     /// True when nothing is cached.
@@ -728,8 +704,7 @@ impl ViewResultCache {
 /// `Err` names why the entry is ineligible — it falls through to
 /// recompute. On success the entry's cached tree has been spliced and
 /// its touched-label footprint widened by what the re-evaluation
-/// selected; the caller moves the version forward and invalidates the
-/// flat body.
+/// selected; the caller moves the version forward.
 fn try_patch(
     e: &mut Entry,
     view: &str,
@@ -750,7 +725,7 @@ fn try_patch(
     if ctx.guard.intersects(pv.anchor_alphabet) {
         return Err(Fallback::Guard);
     }
-    let frags = e.frags.as_mut().ok_or(Fallback::NoMap)?;
+    let frags = &mut e.frags;
     let chosen = match frags.localize(ctx.sites) {
         Localized::Fragments(chosen) if !chosen.is_empty() => chosen,
         _ => return Err(Fallback::Root), // a site reached the root fragment: whole-result span
@@ -789,6 +764,12 @@ mod tests {
         }
     }
 
+    /// A provenance-free tree for a hand-built entry: its root leaf
+    /// serializes whatever root the entry's result has.
+    fn opaque() -> FragmentTree {
+        FragmentTree::opaque(&Document::new(), &Document::new())
+    }
+
     fn entry(cache: &ViewResultCache, view: &str, doc: &str, version: u64, alpha: &[&str]) {
         cache.insert(
             view,
@@ -796,10 +777,9 @@ mod tests {
             version,
             1,
             Document::parse("<r><keep/></r>").unwrap(),
-            "<r><keep/></r>".into(),
             labels(alpha),
             touched(alpha, &["r"]),
-            None,
+            opaque(),
         );
     }
 
@@ -867,14 +847,13 @@ mod tests {
             2,
             1,
             Document::parse("<r/>").unwrap(),
-            "<r/>".into(),
             {
                 let mut a = labels(&["x"]);
                 a.mark_wildcard();
                 a
             },
             TouchedLabels::new(),
-            None,
+            opaque(),
         );
         let out = c.maintain(
             "d",
@@ -903,14 +882,13 @@ mod tests {
             1,
             1,
             Document::parse("<r/>").unwrap(),
-            "<r/>".into(),
             {
                 let mut a = LabelSet::new();
                 a.mark_wildcard();
                 a
             },
             TouchedLabels::new(),
-            None,
+            opaque(),
         );
         // A no-op write (update matched zero targets): even wildcard
         // views ride across the version bump untouched.
@@ -942,10 +920,9 @@ mod tests {
             1,
             1,
             Document::parse("<r/>").unwrap(),
-            "<r/>".into(),
             labels(&["s"]),
             touched(&["s", "inner"], &["r", "s"]),
-            None,
+            opaque(),
         );
         let out = c.maintain(
             "d",
@@ -975,10 +952,9 @@ mod tests {
             1,
             1,
             Document::parse("<r/>").unwrap(),
-            "<r/>".into(),
             labels(&["s"]),
             touched(&["t"], &["r", "b"]),
-            None,
+            opaque(),
         );
         let sel = labels(&["p", "b"]);
         // Plain path over b: value-insensitive → retained.
@@ -1025,10 +1001,9 @@ mod tests {
             1,
             1,
             Document::parse("<r/>").unwrap(),
-            "<r/>".into(),
             labels(&["s"]),
             touched(&["s"], &["r", "a", "w"]),
-            None,
+            opaque(),
         );
         // The rename write: selection alphabet {a, b, w, u}, no value
         // reads, delta {a, b, w, u} — disjoint from everything stored.
@@ -1098,7 +1073,6 @@ mod tests {
         )
         .unwrap();
         let result = top_down(&base, ct.query());
-        let body = result.serialize();
         let mut vt = TouchedLabels::new();
         vt.record(
             &base,
@@ -1106,19 +1080,12 @@ mod tests {
             &ct.query().op,
         );
         let frags = FragmentTree::build(&base, &result, ct.query(), ct.selecting(), 1);
-        assert!(frags.is_some(), "provenance must record for this shape");
-        let c = ViewResultCache::new(8);
-        c.insert(
-            "v",
-            "d",
-            1,
-            1,
-            result,
-            body.into(),
-            ct.alphabet().clone(),
-            vt,
-            frags,
+        assert!(
+            frags.fragment_count() > 1,
+            "provenance must record for this shape"
         );
+        let c = ViewResultCache::new(8);
+        c.insert("v", "d", 1, 1, result, ct.alphabet().clone(), vt, frags);
         // The write: insert <w>1</w> into the first part. Its value
         // footprint (part, pname) collides with the view's valued
         // ancestors of the deleted prices, so retention must fail.
@@ -1172,7 +1139,7 @@ mod tests {
     }
 
     /// Caches view `view` of `xml` (provenance recorded with leaf limit
-    /// `leaf`, or none when `leaf == 0`) at document version `version`
+    /// `leaf`) at document version `version`
     /// and registration generation 1, then runs a write whose relevance
     /// test fails, with patch sites at `site`'s matches and the view
     /// registered at `generation`. Returns the recompute reason.
@@ -1189,11 +1156,7 @@ mod tests {
         let ct = Arc::new(CompiledTransform::parse(view).unwrap());
         let base = Document::parse(xml).unwrap();
         let result = top_down(&base, ct.query());
-        let body = result.serialize();
-        let frags = (leaf > 0).then(|| {
-            FragmentTree::build(&base, &result, ct.query(), ct.selecting(), leaf)
-                .expect("provenance must record for this shape")
-        });
+        let frags = FragmentTree::build(&base, &result, ct.query(), ct.selecting(), leaf);
         let c = ViewResultCache::new(8);
         let alphabet = ct.alphabet().clone();
         c.insert(
@@ -1202,7 +1165,6 @@ mod tests {
             version,
             1,
             result,
-            body.into(),
             alphabet.clone(),
             TouchedLabels::new(),
             frags,
@@ -1277,9 +1239,11 @@ mod tests {
             fallback_of(qualified, small, 1, "/db/zone/part", 1, 1),
             Fallback::Guard
         );
+        // An opaque tree localizes every site to the root.
+        let opaque = r#"transform copy $a := doc("d") modify do insert <x/> into $a//db return $a"#;
         assert_eq!(
-            fallback_of(DEL_PRICE, small, 0, "/db/zone/part", 1, 1),
-            Fallback::NoMap
+            fallback_of(opaque, small, 1, "/db/zone/part", 1, 1),
+            Fallback::Root
         );
         assert_eq!(
             fallback_of(DEL_PRICE, small, 1, "/db/zone/part", 2, 1),
@@ -1289,6 +1253,42 @@ mod tests {
             fallback_of(DEL_PRICE, small, 1, "/db/zone/part", 1, 0),
             Fallback::Stale
         );
+    }
+
+    /// A fresh entry stores its body once: its leaf bytes — the cache's
+    /// bytes beyond the result tree — are at most the served body, for
+    /// an aligned and an opaque fragment tree alike.
+    #[test]
+    fn fresh_entries_hold_at_most_one_body_of_leaf_bytes() {
+        use xust_core::top_down;
+        let base =
+            Document::parse("<db><zone><part><price>9</price></part></zone><o/></db>").unwrap();
+        for view in [
+            r#"transform copy $a := doc("d") modify do delete $a//price return $a"#,
+            r#"transform copy $a := doc("d") modify do insert <x/> into $a//db return $a"#,
+        ] {
+            let ct = CompiledTransform::parse(view).unwrap();
+            let result = top_down(&base, ct.query());
+            let mut frags = FragmentTree::build(&base, &result, ct.query(), ct.selecting(), 1);
+            // What a fill serves, memoizing the leaves on the way.
+            let body = frags.assemble(&result);
+            let tree_bytes = result.heap_bytes();
+            let c = ViewResultCache::new(8);
+            let alphabet = ct.alphabet().clone();
+            c.insert(
+                "v",
+                "d",
+                1,
+                1,
+                result,
+                alphabet,
+                TouchedLabels::new(),
+                frags,
+            );
+            let leaf_bytes = c.heap_bytes() - tree_bytes;
+            assert!(leaf_bytes > 0 && leaf_bytes <= body.len(), "{view}");
+            assert_eq!(c.get("v", "d", 1, 1), Some(body), "{view}");
+        }
     }
 
     #[test]
@@ -1337,10 +1337,9 @@ mod tests {
             3,
             1,
             Document::parse("<old/>").unwrap(),
-            "<old/>".into(),
             labels(&["x"]),
             TouchedLabels::new(),
-            None,
+            opaque(),
         );
         assert_eq!(c.get("v", "d", 5, 1).as_deref(), Some("<r><keep/></r>"));
         assert!(c.get("v", "d", 3, 1).is_none());

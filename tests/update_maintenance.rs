@@ -934,7 +934,7 @@ fn reload_drops_entries_instead_of_maintaining_them() {
 
 /// Paths whose writes intersect the registered views' alphabets —
 /// exactly the writes that fail retention and become patch candidates.
-/// The last three write beside the [`NARROW_VIEWS`] paths, into
+/// The last three write beside the child-axis [`PATCH_VIEWS`] paths, into
 /// subtrees those views' automata prune.
 const PATCH_PATHS: [&str; 8] = [
     "//keyword",
@@ -947,10 +947,14 @@ const PATCH_PATHS: [&str; 8] = [
     "site/closed_auctions/closed_auction",
 ];
 
-/// Child-axis views whose selecting automata die outside one XMark
-/// region. A write anywhere else lands in a pruned subtree, so their
-/// entries patch (and re-split) pruned fragments.
-const NARROW_VIEWS: [(&str, &[&str]); 2] = [
+/// The views the patch tests register beside [`VIEWS`]. Two child-axis
+/// views whose selecting automata die outside one XMark region: a write
+/// anywhere else lands in a pruned subtree, so their entries patch (and
+/// re-split) pruned fragments. And an ε-path insert no fragment tree
+/// can align: its entry holds an opaque tree, so a write that misses
+/// `keyword` is retained and replayed on it, and one that hits
+/// `keyword` localizes to its root and recomputes.
+const PATCH_VIEWS: [(&str, &[&str]); 3] = [
     (
         "nocc",
         &[
@@ -963,12 +967,18 @@ const NARROW_VIEWS: [(&str, &[&str]); 2] = [
             r#"transform copy $a := doc("xmark") modify do delete $a/site/open_auctions/open_auction/bidder return $a"#,
         ],
     ),
+    (
+        "kwroot",
+        &[
+            r#"transform copy $a := doc("xmark") modify do insert <keyword>root</keyword> into $a return $a"#,
+        ],
+    ),
 ];
 
-/// [`VIEWS`] plus [`NARROW_VIEWS`], registered on `server`.
+/// [`VIEWS`] plus [`PATCH_VIEWS`], registered on `server`.
 fn register_patch_views(server: &Server) {
     register_views(server);
-    for (name, links) in NARROW_VIEWS {
+    for (name, links) in PATCH_VIEWS {
         server.register_view_chain(name, links).unwrap();
     }
 }
@@ -980,7 +990,7 @@ fn check_patch_views(
     context: &str,
 ) -> Result<(), TestCaseError> {
     check_all_views(server, reference, context)?;
-    check_views_of(server, &NARROW_VIEWS, "xmark", reference, context)
+    check_views_of(server, &PATCH_VIEWS, "xmark", reference, context)
 }
 
 proptest! {
@@ -1108,9 +1118,9 @@ fn pruned_fragments_patch_every_write_kind() {
     }
     let stats = server.stats();
     assert!(
-        stats.to_string().contains(
-            "recompute: threshold=0 root=0 guard=0 no_map=0 generation=0 stale=0 no_ctx=0"
-        ),
+        stats
+            .to_string()
+            .contains("recompute: threshold=0 root=0 guard=0 generation=0 stale=0 no_ctx=0"),
         "{stats}"
     );
     // Each write's delta reaches `site`, which every view reads, so no
@@ -1224,36 +1234,47 @@ fn patching_fires_on_localized_intersecting_writes() {
 /// Provenance survives retained writes: a spike-only rename is retained
 /// (the delta is disjoint from every view), which *repairs* the stored
 /// fragment trees instead of dropping them — collapsing the covering
-/// fragments on both the base and result sides — and remaps their
-/// touched-label footprints into the new vocabulary. A later localized
-/// intersecting write must still take the patch fate through the
-/// repaired map, and serve bytes identical to recompute.
+/// fragments on both the base and result sides, or an opaque tree's
+/// root — and remaps their touched-label footprints into the new
+/// vocabulary. A later localized intersecting write must still take the
+/// patch fate through the repaired map (the opaque entry recomputes),
+/// and every view must serve bytes identical to recompute.
 #[test]
 fn patching_survives_retained_renames() {
     let base = spiked_xmark(5);
     let server = Server::builder().threads(1).shards(1).build();
     server.load_doc("xmark", base.clone());
-    register_views(&server);
+    register_patch_views(&server);
+    let views: Vec<_> = VIEWS.iter().chain(&PATCH_VIEWS).collect();
+    let check = |reference: &Document, context: &str| {
+        for &&(name, links) in &views {
+            let served = server
+                .handle(&Request::View {
+                    view: name.into(),
+                    doc: "xmark".into(),
+                })
+                .unwrap();
+            assert_eq!(
+                served.body,
+                recompute_view(reference, links),
+                "view '{name}' diverged {context}"
+            );
+        }
+    };
     let mut reference = base.clone();
-    for (name, _) in VIEWS {
-        server
-            .handle(&Request::View {
-                view: name.into(),
-                doc: "xmark".into(),
-            })
-            .unwrap();
-    }
+    check(&reference, "at the fill");
     // Round 1: retained rename (spike vocabulary only). Every entry
     // survives, with its provenance repaired and its footprint remapped.
     let rename = r#"transform copy $a := doc("xmark") modify do rename $a//zap as rn return $a"#;
     let resp = server.update_doc("xmark", rename).unwrap();
     assert!(
         resp.body
-            .contains(&format!("retained={} recomputed=0", VIEWS.len())),
+            .contains(&format!("retained={} recomputed=0", views.len())),
         "the spike rename must be retained: {}",
         resp.body
     );
     apply_to_reference(&mut reference, rename);
+    check(&reference, "after the retained rename");
     // Round 2: localized intersecting write — the patch must fire on
     // the repaired provenance (a dropped map would recompute instead).
     let insert = r#"transform copy $a := doc("xmark") modify do insert <keyword>new</keyword> into $a//spike-zone/sb return $a"#;
@@ -1264,19 +1285,12 @@ fn patching_survives_retained_renames() {
         "repaired provenance must still enable the patch fate: {}",
         resp.body
     );
-    for (name, links) in VIEWS {
-        let served = server
-            .handle(&Request::View {
-                view: name.into(),
-                doc: "xmark".into(),
-            })
-            .unwrap();
-        assert_eq!(
-            served.body,
-            recompute_view(&reference, links),
-            "view '{name}' diverged after rename-then-patch"
-        );
-    }
+    let stats = server.stats().to_string();
+    assert!(
+        stats.contains("view kwroot: delta_retained=1 delta_patched=0 delta_recomputed=1"),
+        "the opaque entry is retained, then recomputed: {stats}"
+    );
+    check(&reference, "after rename-then-patch");
 }
 
 /// One cache fill serves every route: a GENTOP view's entry filled by a
